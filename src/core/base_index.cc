@@ -1,7 +1,9 @@
 #include "core/base_index.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -168,6 +170,41 @@ Result<BaseIndex::Accessor> BaseIndex::BindColumn(
   acc.from_ = Accessor::From::kTable;
   acc.pos_ = idx;
   return acc;
+}
+
+std::vector<KeyRange> BaseIndex::PartitionKeys(const uint64_t* lo_slots,
+                                               const uint64_t* hi_slots,
+                                               size_t shards) const {
+  if (kind_ == Kind::kKiss) {
+    if (kiss_->empty()) return {};
+    uint32_t lo = kiss_->min_key();
+    uint32_t hi = kiss_->max_key();
+    if (lo_slots != nullptr) lo = std::max(lo, KissKeyOf(*lo_slots));
+    if (hi_slots != nullptr) hi = std::min(hi, KissKeyOf(*hi_slots));
+    return PartitionKeySpan(*kiss_, lo, hi, shards);
+  }
+  const PrefixTree::ContentNode* min = prefix_->MinContent();
+  const PrefixTree::ContentNode* max = prefix_->MaxContent();
+  if (min == nullptr || max == nullptr) return {};
+  const size_t key_len = prefix_->key_len();
+  uint8_t lo[KeyBuf::kCapacity];
+  uint8_t hi[KeyBuf::kCapacity];
+  std::memcpy(lo, min->key(), key_len);
+  std::memcpy(hi, max->key(), key_len);
+  KeyBuf bound;
+  if (lo_slots != nullptr) {
+    EncodeKey(lo_slots, &bound);
+    if (CompareKeys(bound.data(), lo, key_len) > 0) {
+      std::memcpy(lo, bound.data(), key_len);
+    }
+  }
+  if (hi_slots != nullptr) {
+    EncodeKey(hi_slots, &bound);
+    if (CompareKeys(bound.data(), hi, key_len) < 0) {
+      std::memcpy(hi, bound.data(), key_len);
+    }
+  }
+  return PartitionKeySpan(*prefix_, lo, hi, shards);
 }
 
 void BaseIndex::EncodeKey(const uint64_t* key_slots, KeyBuf* out) const {

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.h"
 #include "index/key_encoder.h"
 #include "index/kiss_tree.h"
 #include "index/prefix_tree.h"
@@ -237,6 +238,31 @@ class BaseIndex {
       prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
         prefix_->ValuesOf(&c)->ForEach(fn);
       });
+    }
+  }
+
+  // Splits this index's populated keys within [lo_slots, hi_slots] (one
+  // slot per key column; a nullptr bound is open) into at most `shards`
+  // disjoint KeyRanges — PartitionKeySpan over the span clamped to the
+  // tree's smallest and largest key. Empty when no key falls in the span.
+  std::vector<KeyRange> PartitionKeys(const uint64_t* lo_slots,
+                                      const uint64_t* hi_slots,
+                                      size_t shards) const;
+
+  // F: void(uint64_t value) for every value under a PartitionKeys range.
+  // Concurrent calls on distinct ranges touch disjoint subtrees.
+  template <typename F>
+  void ForEachInKeyRange(const KeyRange& range, F&& fn) const {
+    if (kind_ == Kind::kKiss) {
+      kiss_->ScanRange(range.kiss_lo, range.kiss_hi,
+                       [&](uint32_t, const KissTree::ValueRef& vals) {
+                         vals.ForEach(fn);
+                       });
+    } else {
+      prefix_->ScanRange(range.prefix_lo, range.prefix_hi,
+                         [&](const PrefixTree::ContentNode& c) {
+                           prefix_->ValuesOf(&c)->ForEach(fn);
+                         });
     }
   }
 

@@ -242,7 +242,7 @@ uint64_t IndexedTable::BeginParallelMerge(size_t total) {
 }
 
 void IndexedTable::MergeRangeFrom(const IndexedTable& other,
-                                  const MergeKeyRange& range,
+                                  const KeyRange& range,
                                   uint64_t id_base, MergeShardStats* stats) {
   assert(kind_ == other.kind_ &&
          schema_.num_columns() == other.schema_.num_columns());
@@ -302,7 +302,7 @@ void IndexedTable::BeginParallelAggMerge() {
 
 void IndexedTable::MergeAggRangeFrom(
     const std::vector<const IndexedTable*>& partials,
-    const MergeKeyRange& range, MergeShardStats* stats) {
+    const KeyRange& range, MergeShardStats* stats) {
   assert(!agg_.empty());
   if (kind_ == Kind::kKiss) {
     // Bucket-level co-iteration: the range is root-bucket-aligned, so

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/agg.h"
+#include "core/parallel.h"
 #include "index/key_encoder.h"
 #include "index/kiss_tree.h"
 #include "index/prefix_tree.h"
@@ -133,9 +134,9 @@ class IndexedTable {
   // --- key-range-partitioned parallel merge (engine layer) --------------------
   //
   // Protocol driven by engine::PartialOutputs: the engine partitions the
-  // union key span of all partials into disjoint ranges
-  // (root-bucket-aligned for KISS; branching-level fragment-aligned
-  // encoded ranges for prefix trees, whose shared-prefix chain
+  // union key span of all partials into disjoint KeyRanges
+  // (PartitionKeySpan, core/parallel.h: whole level-2 buckets for KISS;
+  // branching-level fragments for prefix trees, whose shared-prefix chain
   // PrepareMergeChain pre-builds) and validates that they tile the span
   // before touching the destination.
   //
@@ -152,15 +153,6 @@ class IndexedTable {
   // range worker folds ALL partials' accumulators of its key range into
   // the destination via MergeAggRangeFrom (BoundAggSpec::MergeRange);
   // EndParallelAggMerge applies the summed group statistics.
-
-  struct MergeKeyRange {
-    uint32_t kiss_lo = 0;  // kKiss: inclusive key range, whole root buckets
-    uint32_t kiss_hi = 0;
-    // kPrefix: inclusive encoded key range, aligned to whole fragments
-    // at the branching level passed to PrepareMergeChain.
-    uint8_t prefix_lo[KeyBuf::kCapacity] = {};
-    uint8_t prefix_hi[KeyBuf::kCapacity] = {};
-  };
 
   // Pre-builds the destination chain for the shared encoded-key prefix
   // (prefix-tree tables only; the table must still be empty).
@@ -183,7 +175,7 @@ class IndexedTable {
   // the ranges tile the key span — and inserts them into the index.
   // Safe for concurrent callers on disjoint ranges while the
   // BeginParallelMerge window is open; counts into `stats`.
-  void MergeRangeFrom(const IndexedTable& other, const MergeKeyRange& range,
+  void MergeRangeFrom(const IndexedTable& other, const KeyRange& range,
                       uint64_t id_base, MergeShardStats* stats);
 
   // Closes the window and applies the summed per-shard statistics.
@@ -202,7 +194,7 @@ class IndexedTable {
   // disjoint ranges while the BeginParallelAggMerge window is open;
   // created groups count into `stats->new_keys`.
   void MergeAggRangeFrom(const std::vector<const IndexedTable*>& partials,
-                         const MergeKeyRange& range, MergeShardStats* stats);
+                         const KeyRange& range, MergeShardStats* stats);
 
   // Closes the window and applies the summed group statistics.
   // `folded_tuples` is the total number of input tuples the partials had

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/parallel_ops.h"
@@ -54,25 +54,23 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
 
   stats.input_tuples = index->num_rows();
 
-  // Parallel path: the selection scan runs over a KISS-indexed range/all
-  // predicate, so it partitions into disjoint key-range morsels; each
-  // worker streams its qualifiers through a private probe pipeline into a
-  // private partial output (§4.3 composition preserved per worker).
+  // Parallel path: the range/all selection scan partitions into disjoint
+  // key-range morsels (either tree family); each worker streams its
+  // qualifiers through a private probe pipeline into a private partial
+  // output (§4.3 composition preserved per worker).
   engine::WorkerPool* pool = ctx->worker_pool();
-  const KissTree* kiss = index->kiss();
   const bool parallel =
-      pool != nullptr && ctx->knobs().threads > 1 && kiss != nullptr &&
-      (spec_.predicate.kind == KeyPredicate::Kind::kRange ||
-       spec_.predicate.kind == KeyPredicate::Kind::kAll) &&
+      pool != nullptr && ctx->knobs().threads > 1 &&
+      (spec_.predicate.kind == KeyPredicate::Kind::kAll ||
+       // A range bound is one slot: only a one-column key encodes it.
+       (spec_.predicate.kind == KeyPredicate::Kind::kRange &&
+        index->num_key_columns() == 1)) &&
       index->num_rows() >= engine::kMinParallelInputTuples;
 
   if (parallel) {
-    uint32_t lo = 0;
-    uint32_t hi = std::numeric_limits<uint32_t>::max();
-    if (spec_.predicate.kind == KeyPredicate::Kind::kRange) {
-      lo = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.lo));
-      hi = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.hi));
-    }
+    const bool ranged = spec_.predicate.kind == KeyPredicate::Kind::kRange;
+    const uint64_t lo = SlotFromInt64(spec_.predicate.lo);
+    const uint64_t hi = SlotFromInt64(spec_.predicate.hi);
     size_t workers = pool->num_workers();
     engine::PartialOutputs partials(*output, workers);
     std::vector<std::unique_ptr<CandidatePipeline>> pipelines;
@@ -84,9 +82,11 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
     }
     const std::string label = display_name();
     auto tuner = pool->TunerFor(label);
-    engine::MorselSite site{pool, tuner.get(), ctx->trace(), label};
-    stats.morsels = engine::RunKissValueMorsels(
-        site, *kiss, lo, hi, [&](size_t w, uint64_t value) {
+    engine::MorselSite site{pool, tuner.get(), ctx->trace(), label,
+                            ctx->cancel()};
+    stats.morsels = engine::RunValueMorsels(
+        site, *index, ranged ? &lo : nullptr, ranged ? &hi : nullptr,
+        [&](size_t w, uint64_t value) {
           if (!left.Visible(value)) return;  // MVCC snapshot filter
           for (const auto& r : residuals) {
             if (!r.Eval(value)) return;

@@ -1,7 +1,7 @@
 #include "core/operators/selection.h"
 
 #include <cstdint>
-#include <limits>
+#include <string>
 #include <vector>
 
 #include "engine/parallel_ops.h"
@@ -57,26 +57,24 @@ Status SelectionOp::Execute(ExecContext* ctx) {
     }
   };
 
-  // Parallel path: a KISS-indexed range/all selection large enough to
-  // amortize the fork-join. Each worker scans disjoint morsel key ranges
-  // into a private partial output; partials merge at the end.
+  // Parallel path: a range/all selection over either tree family, large
+  // enough to amortize the fork-join. Each worker scans disjoint morsel
+  // key ranges into a private partial output; partials merge at the end.
   engine::WorkerPool* pool = ctx->worker_pool();
-  const KissTree* kiss = index->kiss();
   const bool parallel =
-      pool != nullptr && ctx->knobs().threads > 1 && kiss != nullptr &&
+      pool != nullptr && ctx->knobs().threads > 1 &&
       spec_.composite_range.empty() &&
-      (spec_.predicate.kind == KeyPredicate::Kind::kRange ||
-       spec_.predicate.kind == KeyPredicate::Kind::kAll) &&
+      (spec_.predicate.kind == KeyPredicate::Kind::kAll ||
+       // A range bound is one slot: only a one-column key encodes it.
+       (spec_.predicate.kind == KeyPredicate::Kind::kRange &&
+        index->num_key_columns() == 1)) &&
       index->num_rows() >= engine::kMinParallelInputTuples;
 
   Timer phase;
   if (parallel) {
-    uint32_t lo = 0;
-    uint32_t hi = std::numeric_limits<uint32_t>::max();
-    if (spec_.predicate.kind == KeyPredicate::Kind::kRange) {
-      lo = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.lo));
-      hi = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.hi));
-    }
+    const bool ranged = spec_.predicate.kind == KeyPredicate::Kind::kRange;
+    const uint64_t lo = SlotFromInt64(spec_.predicate.lo);
+    const uint64_t hi = SlotFromInt64(spec_.predicate.hi);
     size_t workers = pool->num_workers();
     engine::PartialOutputs partials(*output, workers);
     std::vector<std::vector<uint64_t>> rows(workers,
@@ -88,9 +86,11 @@ Status SelectionOp::Execute(ExecContext* ctx) {
     // and tuner handle must outlive the driver calls.
     const std::string label = display_name();
     auto tuner = pool->TunerFor(label);
-    engine::MorselSite site{pool, tuner.get(), ctx->trace(), label};
-    stats.morsels = engine::RunKissValueMorsels(
-        site, *kiss, lo, hi, [&](size_t w, uint64_t value) {
+    engine::MorselSite site{pool, tuner.get(), ctx->trace(), label,
+                            ctx->cancel()};
+    stats.morsels = engine::RunValueMorsels(
+        site, *index, ranged ? &lo : nullptr, ranged ? &hi : nullptr,
+        [&](size_t w, uint64_t value) {
           process(value, rows[w].data(), keys[w].data(),
                   partials.worker(w));
         });

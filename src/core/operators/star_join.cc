@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/sync_scan.h"
 #include "engine/parallel_ops.h"
 #include "util/cancel.h"
@@ -82,7 +84,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   const std::string site_label = display_name();
   std::shared_ptr<engine::MorselTuner> tuner =
       pool != nullptr ? pool->TunerFor(site_label) : nullptr;
-  engine::MorselSite site{pool, tuner.get(), ctx->trace(), site_label};
+  engine::MorselSite site{pool, tuner.get(), ctx->trace(), site_label,
+                          ctx->cancel()};
   // Forking pays off when the side driving the scan is big enough; the
   // mixed branch overrides this with the KISS (scanned) side's size.
   auto worth_forking = [&](uint64_t scanned_tuples) {
@@ -119,6 +122,20 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     stats.merge_ms = merge.ElapsedMs();
   };
 
+  // Prefix-family morsels: the two trees' jointly populated subtrees at
+  // their branching level (FindPairScanLevel, core/sync_scan.h), chopped
+  // into slot-list slices; scan_slice(worker, level, begin, end) scans
+  // one slice. Returns the morsel count (0 = no shared subtree).
+  auto run_pair_slices = [&](const PrefixTree& l, const PrefixTree& r,
+                             auto&& scan_slice) {
+    PairScanLevel level = FindPairScanLevel(l, r);
+    auto slices = SplitEvenly(level.slots.size(), site.morsel_target());
+    engine::RunMorsels(site, slices.size(), [&](size_t w, size_t m) {
+      scan_slice(w, level, slices[m].first, slices[m].second);
+    });
+    return slices.size();
+  };
+
   auto run_serial = [&](auto&& scan) {
     serial_ticker = &serial_cancel;
     CandidatePipeline pipeline(assists, width, output.get(), key_positions,
@@ -143,8 +160,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     };
     if (parallel) {
       run_parallel([&](auto& pipelines) {
-        return engine::RunPrefixPairMorsels(
-            site, lp, rp,
+        return run_pair_slices(
+            lp, rp,
             [&](size_t w, const PairScanLevel& level, size_t begin,
                 size_t end) {
               CandidatePipeline* pipeline = pipelines[w].get();
@@ -175,22 +192,25 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
       // Probe side parallelism: disjoint key-range morsels over the
       // shared span, per-worker pipelines and partial outputs, one merge
       // at the end.
-      uint32_t lo = std::max(lk.min_key(), rk.min_key());
-      uint32_t hi = std::min(lk.max_key(), rk.max_key());
+      std::vector<KeyRange> ranges;
+      if (!lk.empty() && !rk.empty()) {
+        ranges = PartitionKeySpan(lk, std::max(lk.min_key(), rk.min_key()),
+                                  std::min(lk.max_key(), rk.max_key()),
+                                  site.morsel_target());
+      }
       run_parallel([&](auto& pipelines) {
-        return engine::RunKissRangeMorsels(
-            site, lk, lo, hi, [&](size_t w, uint32_t mlo, uint32_t mhi) {
-              CandidatePipeline* pipeline = pipelines[w].get();
-              SynchronousScanRange(
-                  lk, rk, mlo, mhi,
-                  [&](uint32_t, const KissTree::ValueRef& lv,
-                      const KissTree::ValueRef& rv) {
-                    lv.ForEach([&](uint64_t l) {
-                      rv.ForEach(
-                          [&](uint64_t r) { emit_pair(pipeline, l, r); });
-                    });
-                  });
-            });
+        engine::RunMorsels(site, ranges.size(), [&](size_t w, size_t m) {
+          CandidatePipeline* pipeline = pipelines[w].get();
+          SynchronousScanRange(
+              lk, rk, ranges[m].kiss_lo, ranges[m].kiss_hi,
+              [&](uint32_t, const KissTree::ValueRef& lv,
+                  const KissTree::ValueRef& rv) {
+                lv.ForEach([&](uint64_t l) {
+                  rv.ForEach([&](uint64_t r) { emit_pair(pipeline, l, r); });
+                });
+              });
+        });
+        return ranges.size();
       });
     } else {
       run_serial([&](CandidatePipeline* pipeline) {
@@ -265,8 +285,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     if (worth_forking(std::max(left.num_input_tuples(),
                                right.num_input_tuples()))) {
       run_parallel([&](auto& pipelines) {
-        return engine::RunPrefixPairMorsels(
-            site, ptree, ptree,  // self-pair: every populated subtree
+        return run_pair_slices(
+            ptree, ptree,  // self-pair: every populated subtree
             [&](size_t w, const PairScanLevel& level, size_t begin,
                 size_t end) {
               scan_mixed(pipelines[w].get(), [&](auto&& sink) {

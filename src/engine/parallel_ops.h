@@ -1,17 +1,18 @@
 // Parallel drivers for the hot operators (engine layer, §7).
 //
-// The pattern shared by every parallel operator: partition the input
-// index into disjoint morsels (core/parallel.h — deterministic tree
-// partitions need no rebalancing guard), run the operator's tuple loop
-// per morsel on the worker pool with *per-worker* partial output tables,
-// and merge the partials into the real output once at the end. Both
-// output shapes merge key-range-partitioned across the pool (plain
-// tables re-insert tuples at pre-assigned row ids; aggregated tables
-// fold accumulators via BoundAggSpec::MergeRange) — see
+// The pattern shared by every parallel operator: split the input index
+// into disjoint morsels — key ranges from PartitionKeySpan
+// (core/parallel.h), whatever the tree family; deterministic tree
+// partitions need no rebalancing guard — run the operator's tuple loop
+// per morsel on the worker pool (RunMorsels) with *per-worker* partial
+// output tables, and merge the partials into the real output once at the
+// end. Both output shapes merge key-range-partitioned across the pool
+// (plain tables re-insert tuples at pre-assigned row ids; aggregated
+// tables fold accumulators via BoundAggSpec::MergeRange) — see
 // PartialOutputs::MergeInto. The input trees are never mutated, so
 // concurrent readers need no synchronization.
 //
-// Split counts are adaptive: each driver reports its batch's per-morsel
+// Split counts are adaptive: RunMorsels reports each batch's per-morsel
 // wall times to its operator site's MorselTuner
 // (WorkerPool::TunerFor, engine/scheduler.h), which refines the split
 // when one straggler morsel dominates and coarsens it when scheduling
@@ -21,6 +22,7 @@
 #ifndef QPPT_ENGINE_PARALLEL_OPS_H_
 #define QPPT_ENGINE_PARALLEL_OPS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -29,10 +31,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/base_index.h"
 #include "core/indexed_table.h"
 #include "core/parallel.h"
 #include "core/stats.h"
-#include "core/sync_scan.h"
 #include "engine/scheduler.h"
 #include "obs/trace.h"
 #include "util/cancel.h"
@@ -51,10 +53,10 @@ inline constexpr size_t kMinParallelAggGroups = 64;
 
 // Everything a parallel driver needs to know about its call site: which
 // pool to fork on, which operator-site tuner to feed morsel times to
-// (nullptr = pool default), and — when the query is traced — where and
-// under what stage label to record the spans. The label must outlive the
-// driver call (operators hold it as a local; the trace arena-copies it
-// per span).
+// (required — WorkerPool::TunerFor), and — when the query is traced —
+// where and under what stage label to record the spans. The label must
+// outlive the driver call (operators hold it as a local; the trace
+// arena-copies it per span).
 struct MorselSite {
   WorkerPool* pool = nullptr;
   MorselTuner* tuner = nullptr;
@@ -64,17 +66,23 @@ struct MorselSite {
   // per morsel — the morsel boundary is the cancellation granularity of
   // every parallel driver; per-tuple loops stay check-free.
   const CancelToken* cancel = nullptr;
+
+  // The site tuner's split target for the next morsel batch.
+  size_t morsel_target() const {
+    return tuner->MorselTarget(pool->num_workers());
+  }
 };
 
-// Runs fn(worker, morsel) for every morsel, recording per-morsel wall
-// times and feeding them to the site's tuner; when the site carries a
-// trace, every morsel also records a kMorsel span on its worker's lane.
-// When the site carries a cancel token, it is polled before each morsel
-// body: a cancelled/expired query throws CancelledException, which the
-// pool converts into skip-remaining-morsels and rethrows to the
-// submitter (Plan::Run turns it back into a Status).
+// The one morsel driver: runs fn(worker, morsel) for every morsel in
+// [0, count) on the site's pool, recording per-morsel wall times and
+// feeding them to the site's tuner; when the site carries a trace, every
+// morsel also records a kMorsel span on its worker's lane. When the site
+// carries a cancel token, it is polled before each morsel body: a
+// cancelled/expired query throws CancelledException, which the pool
+// converts into skip-remaining-morsels and rethrows to the submitter
+// (Plan::Run turns it back into a Status).
 template <typename Fn>
-void RunTimedMorsels(const MorselSite& site, size_t count, Fn&& fn) {
+void RunMorsels(const MorselSite& site, size_t count, Fn&& fn) {
   std::vector<double> times(count, 0.0);
   obs::QueryTrace* trace = site.trace;
   const CancelToken* cancel = site.cancel;
@@ -93,16 +101,7 @@ void RunTimedMorsels(const MorselSite& site, size_t count, Fn&& fn) {
                     trace->NowUs());
     }
   });
-  (site.tuner != nullptr ? site.tuner : site.pool->tuner())
-      ->RecordBatch(&times);
-}
-
-// Back-compat shim for callers without a trace (tests, utilities).
-template <typename Fn>
-void RunTimedMorsels(WorkerPool* pool, MorselTuner* tuner, size_t count,
-                     Fn&& fn) {
-  RunTimedMorsels(MorselSite{pool, tuner, nullptr, {}}, count,
-                  std::forward<Fn>(fn));
+  site.tuner->RecordBatch(&times);
 }
 
 // Validators for the merge-range plans below (exposed for tests): true
@@ -113,11 +112,10 @@ void RunTimedMorsels(WorkerPool* pool, MorselTuner* tuner, size_t count,
 // it at runtime — in Release builds too — and falls back to the serial
 // merge instead of corrupting the output.
 namespace merge_detail {
-bool KissRangesCoverSpan(const std::vector<IndexedTable::MergeKeyRange>& ranges,
-                         uint32_t span_lo, uint32_t span_hi);
-bool PrefixRangesCoverSpan(
-    const std::vector<IndexedTable::MergeKeyRange>& ranges, size_t key_len,
-    const uint8_t* span_lo, const uint8_t* span_hi);
+bool KissRangesCoverSpan(const std::vector<KeyRange>& ranges, uint32_t span_lo,
+                         uint32_t span_hi);
+bool PrefixRangesCoverSpan(const std::vector<KeyRange>& ranges, size_t key_len,
+                           const uint8_t* span_lo, const uint8_t* span_hi);
 }  // namespace merge_detail
 
 // Per-worker partial outputs of one parallel operator, merged into the
@@ -155,15 +153,11 @@ class PartialOutputs {
   // span under the site's label. Returns the number of merge morsels
   // executed (0 = serial merge).
   size_t MergeInto(const MorselSite& site, IndexedTable* final_table);
-  size_t MergeInto(WorkerPool* pool, IndexedTable* final_table) {
-    return MergeInto(MorselSite{pool, nullptr, nullptr, {}}, final_table);
-  }
 
   // Test hook: mutates every planned range list before validation, so
   // tests can inject non-covering plans and exercise the runtime
   // fallback. Pass nullptr to clear. Not thread-safe; tests only.
-  using PlanMutator = std::function<void(
-      std::vector<IndexedTable::MergeKeyRange>*)>;
+  using PlanMutator = std::function<void(std::vector<KeyRange>*)>;
   static void SetPlanMutatorForTest(PlanMutator mutator);
 
  private:
@@ -173,110 +167,53 @@ class PartialOutputs {
   std::vector<std::unique_ptr<IndexedTable>> partials_;
 };
 
-// Partitions `tree` ∩ [lo, hi] into morsel key ranges and runs
-// fn(worker, morsel_lo, morsel_hi) for each on the site's pool. Returns
-// the number of morsels executed (0 = empty intersection). Templated on
-// the callback (rather than taking a std::function) so operator call
-// sites never type-erase their capture state onto the heap — the morsel
-// drivers sit on every parallel query's hot path.
-template <typename Fn>
-size_t RunKissRangeMorsels(const MorselSite& site, const KissTree& tree,
-                           uint32_t lo, uint32_t hi, const Fn& fn) {
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : site.pool->tuner();
-  auto ranges = PartitionKissRange(
-      tree, lo, hi, tuner->MorselTarget(site.pool->num_workers()));
-  if (ranges.empty()) return 0;
-  RunTimedMorsels(site, ranges.size(), [&](size_t worker, size_t m) {
-    fn(worker, ranges[m].first, ranges[m].second);
-  });
-  return ranges.size();
-}
-
-template <typename Fn>
-size_t RunKissRangeMorsels(WorkerPool* pool, MorselTuner* tuner,
-                           const KissTree& tree, uint32_t lo, uint32_t hi,
-                           const Fn& fn) {
-  return RunKissRangeMorsels(MorselSite{pool, tuner, nullptr, {}}, tree, lo,
-                             hi, fn);
-}
-
-// Pair-partitions two prefix trees at their branching level
-// (FindPairScanLevel, core/sync_scan.h) and runs
-// fn(worker, level, begin, end) for each slot-list slice on the pool —
-// the driver of the parallel prefix-tree star join; the callback scans
-// its slice with SynchronousScanPairSlots. Returns the number of
-// morsels executed (0 = the trees share no subtree). Templated for the
-// same no-type-erasure reason as RunKissRangeMorsels above.
-template <typename Fn>
-size_t RunPrefixPairMorsels(const MorselSite& site, const PrefixTree& left,
-                            const PrefixTree& right, const Fn& fn) {
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : site.pool->tuner();
-  PairScanLevel level = FindPairScanLevel(left, right);
-  if (level.slots.empty()) return 0;
-  auto slices = SplitEvenly(level.slots.size(),
-                            tuner->MorselTarget(site.pool->num_workers()));
-  RunTimedMorsels(site, slices.size(), [&](size_t worker, size_t m) {
-    fn(worker, level, slices[m].first, slices[m].second);
-  });
-  return slices.size();
-}
-
 // Values per slice morsel when the gather fallback below kicks in.
 inline constexpr size_t kMinSliceValues = 1024;
 
-// Runs process(worker, value) for every value stored under tree ∩
-// [lo, hi]. Prefers disjoint key-range morsels; when the populated span
-// has too few root buckets to feed the workers (a low-cardinality
+// Runs process(worker, value) for every value `index` stores under keys
+// in [lo_slots, hi_slots], for either tree family. Prefers disjoint
+// key-range morsels (BaseIndex::PartitionKeys); when the span has too
+// few branching-level fragments to feed the workers (a low-cardinality
 // selection attribute — e.g. eleven discount values, each with a
 // million-entry duplicate list), it gathers the qualifying values once
 // and morsels over slices of the gathered vector instead. Returns the
-// morsel count (0 = nothing qualified).
+// morsel count (0 = nothing qualified). Templated on the callback so
+// operator call sites never type-erase their capture state onto the
+// heap — the driver sits on every parallel scan's hot path.
 template <typename ProcessFn>
-size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
-                           uint32_t lo, uint32_t hi, ProcessFn&& process) {
-  WorkerPool* pool = site.pool;
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : pool->tuner();
-  const size_t target = tuner->MorselTarget(pool->num_workers());
-  auto ranges = PartitionKissRange(tree, lo, hi, target);
+size_t RunValueMorsels(const MorselSite& site, const BaseIndex& index,
+                       const uint64_t* lo_slots, const uint64_t* hi_slots,
+                       ProcessFn&& process) {
+  const size_t target = site.morsel_target();
+  std::vector<KeyRange> ranges =
+      index.PartitionKeys(lo_slots, hi_slots, target);
   if (ranges.empty()) return 0;
-  if (ranges.size() >= pool->num_workers()) {
-    RunTimedMorsels(site, ranges.size(),
-                    [&](size_t worker, size_t m) {
-                      tree.ScanRange(
-                          ranges[m].first, ranges[m].second,
-                          [&](uint32_t, const KissTree::ValueRef& vals) {
-                            vals.ForEach(
-                                [&](uint64_t v) { process(worker, v); });
-                          });
-                    });
+  if (ranges.size() >= site.pool->num_workers()) {
+    RunMorsels(site, ranges.size(), [&](size_t worker, size_t m) {
+      index.ForEachInKeyRange(ranges[m],
+                              [&](uint64_t v) { process(worker, v); });
+    });
     return ranges.size();
   }
   std::vector<uint64_t> values;
-  tree.ScanRange(lo, hi, [&](uint32_t, const KissTree::ValueRef& vals) {
-    vals.ForEach([&](uint64_t v) { values.push_back(v); });
-  });
+  CancelTicker cancel(site.cancel);
+  for (const KeyRange& range : ranges) {
+    index.ForEachInKeyRange(range, [&](uint64_t v) {
+      cancel.Tick();
+      values.push_back(v);
+    });
+  }
   if (values.empty()) return 0;
   auto slices = SplitEvenly(
       values.size(),
       std::min(target,
                (values.size() + kMinSliceValues - 1) / kMinSliceValues));
-  RunTimedMorsels(site, slices.size(), [&](size_t worker, size_t m) {
+  RunMorsels(site, slices.size(), [&](size_t worker, size_t m) {
     for (size_t i = slices[m].first; i < slices[m].second; ++i) {
       process(worker, values[i]);
     }
   });
   return slices.size();
-}
-
-template <typename ProcessFn>
-size_t RunKissValueMorsels(WorkerPool* pool, MorselTuner* tuner,
-                           const KissTree& tree, uint32_t lo, uint32_t hi,
-                           ProcessFn&& process) {
-  return RunKissValueMorsels(MorselSite{pool, tuner, nullptr, {}}, tree, lo,
-                             hi, std::forward<ProcessFn>(process));
 }
 
 }  // namespace qppt::engine

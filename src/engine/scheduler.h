@@ -1,8 +1,8 @@
 // Work-stealing morsel scheduler — the engine's execution substrate.
 //
 // A fixed pool of worker threads executes *morsels*: small, independent
-// units of operator work (typically one disjoint key subrange produced by
-// PartitionKissRange / PartitionPrefixRange, core/parallel.h). Each
+// units of operator work (typically one disjoint key range produced by
+// PartitionKeySpan, core/parallel.h, for either tree family). Each
 // worker owns a deque; a submitted batch is spread round-robin across the
 // deques, workers pop their own deque LIFO and steal FIFO from others
 // when idle. Morsels from *different* concurrent queries interleave
@@ -111,13 +111,6 @@ class WorkerPool {
 
   size_t num_workers() const { return deques_.empty() ? 1 : deques_.size(); }
 
-  // The default tuner's split target for this pool's next morsel batch
-  // (used by callers without an operator site, e.g. merge-range
-  // planning).
-  size_t morsel_target() const { return tuner_.MorselTarget(num_workers()); }
-  // The pool's default (site-less) tuner.
-  MorselTuner* tuner() { return &tuner_; }
-
   // The adaptive tuner of one operator site (keyed by the operator's
   // planner stage label / display name). Each site carries its own
   // feedback loop, so two interleaved queries with different per-morsel
@@ -131,8 +124,8 @@ class WorkerPool {
   // feedback loop.
   static constexpr size_t kMaxTunerSites = 64;
   std::shared_ptr<MorselTuner> TunerFor(std::string_view site);
-  // Distinct operator sites currently resident (excludes the default
-  // tuner; never exceeds kMaxTunerSites).
+  // Distinct operator sites currently resident (never exceeds
+  // kMaxTunerSites).
   size_t num_tuner_sites() const;
 
   // Executes fn for every morsel index in [0, num_morsels) and blocks
@@ -168,7 +161,6 @@ class WorkerPool {
   std::vector<std::thread> workers_;
   size_t next_deque_ = 0;  // round-robin distribution cursor (guarded by mu_)
   bool stop_ = false;
-  MorselTuner tuner_;
   // Per-site tuners, LRU-bounded at kMaxTunerSites (see TunerFor).
   struct SiteEntry {
     std::shared_ptr<MorselTuner> tuner;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -17,8 +18,12 @@
 #include <vector>
 
 #include "core/agg.h"
+#include "core/base_index.h"
 #include "core/indexed_table.h"
+#include "core/operators/select_join.h"
+#include "core/operators/selection.h"
 #include "core/parallel.h"
+#include "core/plan.h"
 #include "engine/parallel_ops.h"
 #include "engine/scheduler.h"
 #include "engine/session.h"
@@ -98,6 +103,13 @@ TEST(WorkerPoolTest, MorselExceptionPropagatesToSubmitter) {
 }
 
 // ---- partial outputs & merge -----------------------------------------------
+
+// A merge call site on `pool`. Merges feed no tuner, but every site
+// carries its operator's tuner; the pool keeps this one alive.
+engine::MorselSite MergeSite(engine::WorkerPool* pool) {
+  return engine::MorselSite{pool, pool->TunerFor("test:merge").get(),
+                            nullptr, {}};
+}
 
 Schema AggInputSchema() {
   return Schema({{"g", ValueType::kInt64, nullptr},
@@ -248,7 +260,7 @@ TEST(PartialOutputsTest, ParallelMergeMatchesSerialKissPlain) {
     serial->Insert(row);
     partials.worker(static_cast<size_t>(i) % 3)->Insert(row);
   }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
+  size_t merge_morsels = partials.MergeInto(MergeSite(&pool), merged.get());
   EXPECT_GT(merge_morsels, 1u) << "parallel merge did not partition";
 
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
@@ -292,7 +304,7 @@ TEST(PartialOutputsTest, ParallelMergeMatchesSerialPrefixPlain) {
     serial->Insert(row);
     partials.worker(static_cast<size_t>(i) % 4)->Insert(row);
   }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
+  size_t merge_morsels = partials.MergeInto(MergeSite(&pool), merged.get());
   EXPECT_GT(merge_morsels, 1u) << "parallel merge did not partition";
 
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
@@ -390,7 +402,8 @@ TEST(PartialOutputsTest, AggParallelMergeMatchesSerialAllKindsAndFamilies) {
                 ->InsertAggregated(keys, row);
           }
         }
-        size_t merge_morsels = partials.MergeInto(&pool, merged.get());
+        size_t merge_morsels =
+            partials.MergeInto(MergeSite(&pool), merged.get());
         std::string label = std::string(AggFnToString(fn)) +
                             (kiss ? " kiss" : " prefix") + " t=" +
                             std::to_string(threads);
@@ -430,7 +443,7 @@ TEST(PartialOutputsTest, ParallelMergeHandlesDisjointPartialSpans) {
     partials.worker(0)->Insert(lo_row);
     partials.worker(1)->Insert(hi_row);
   }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
+  size_t merge_morsels = partials.MergeInto(MergeSite(&pool), merged.get());
   EXPECT_GT(merge_morsels, 1u);
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
   EXPECT_EQ(merged->num_keys(), serial->num_keys());
@@ -483,10 +496,10 @@ TEST(PartialOutputsTest, NonCoveringKissPlanFallsBackToSerialMerge) {
     partials.worker(static_cast<size_t>(i) % 3)->Insert(row);
   }
   PlanMutatorGuard guard(
-      [](std::vector<IndexedTable::MergeKeyRange>* ranges) {
+      [](std::vector<KeyRange>* ranges) {
         if (ranges->size() > 2) ranges->erase(ranges->begin() + 1);
       });
-  EXPECT_EQ(partials.MergeInto(&pool, merged.get()), 0u)
+  EXPECT_EQ(partials.MergeInto(MergeSite(&pool), merged.get()), 0u)
       << "non-covering plan must fall back to the serial merge";
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
   EXPECT_EQ(merged->num_keys(), serial->num_keys());
@@ -525,10 +538,10 @@ TEST(PartialOutputsTest, NonCoveringPrefixPlanFallsBackToSerialMerge) {
     partials.worker(static_cast<size_t>(i) % 4)->Insert(row);
   }
   PlanMutatorGuard guard(
-      [](std::vector<IndexedTable::MergeKeyRange>* ranges) {
+      [](std::vector<KeyRange>* ranges) {
         if (!ranges->empty()) ranges->pop_back();
       });
-  EXPECT_EQ(partials.MergeInto(&pool, merged.get()), 0u)
+  EXPECT_EQ(partials.MergeInto(MergeSite(&pool), merged.get()), 0u)
       << "truncated plan must fall back to the serial merge";
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
   EXPECT_EQ(merged->num_keys(), serial->num_keys());
@@ -547,7 +560,7 @@ TEST(PartialOutputsTest, NonCoveringPrefixPlanFallsBackToSerialMerge) {
 // The coverage validators themselves: gaps, inversions, truncations.
 TEST(MergeRangeValidationTest, DetectsGapsAndTruncations) {
   using engine::merge_detail::KissRangesCoverSpan;
-  std::vector<IndexedTable::MergeKeyRange> ranges(3);
+  std::vector<KeyRange> ranges(3);
   ranges[0].kiss_lo = 10;
   ranges[0].kiss_hi = 63;
   ranges[1].kiss_lo = 64;
@@ -582,7 +595,7 @@ TEST(PartialOutputsTest, ParallelMergeFallsBackWhenSerialIsRight) {
     agg_partials.worker(static_cast<size_t>(i) % 2)->InsertAggregated(&g,
                                                                       row);
   }
-  EXPECT_EQ(agg_partials.MergeInto(&pool, agg.get()), 0u);
+  EXPECT_EQ(agg_partials.MergeInto(MergeSite(&pool), agg.get()), 0u);
   EXPECT_EQ(agg->num_keys(), 7u);
 
   // Small plain output: below the threshold, stays serial.
@@ -595,7 +608,7 @@ TEST(PartialOutputsTest, ParallelMergeFallsBackWhenSerialIsRight) {
     uint64_t row[1] = {SlotFromInt64(i)};
     small_partials.worker(static_cast<size_t>(i) % 2)->Insert(row);
   }
-  EXPECT_EQ(small_partials.MergeInto(&pool, small.get()), 0u);
+  EXPECT_EQ(small_partials.MergeInto(MergeSite(&pool), small.get()), 0u);
   EXPECT_EQ(small->num_tuples(), 100u);
 }
 
@@ -667,15 +680,15 @@ TEST(MorselTunerTest, InterleavedSitesTuneIndependently) {
       << "skewed site failed to refine — polluted by the tiny site?";
   EXPECT_EQ(tiny->per_worker(), engine::MorselTuner::kMinPerWorker)
       << "tiny site failed to coarsen — polluted by the skewed site?";
-  // The pool's default tuner saw none of it.
-  EXPECT_EQ(pool.tuner()->per_worker(), engine::MorselTuner::kBasePerWorker);
 }
 
-// The tuner feedback is wired into the drivers: a skewed key
-// distribution (one giant duplicate chain) refines the pool's split.
-TEST(MorselTunerTest, DriverFeedbackRefinesPoolTarget) {
+// The tuner feedback is wired into the morsel driver: a skewed key
+// distribution (one giant duplicate chain) refines the site's split.
+TEST(MorselTunerTest, DriverFeedbackRefinesSiteTarget) {
   engine::WorkerPool pool(2);
-  size_t before = pool.tuner()->per_worker();
+  std::shared_ptr<engine::MorselTuner> tuner = pool.TunerFor("scan:skewed");
+  engine::MorselSite site{&pool, tuner.get(), nullptr, {}};
+  size_t before = tuner->per_worker();
   KissTree tree;
   size_t l2 = tree.level2_bits();
   // 64 buckets; bucket 0 holds 64x the work of the others.
@@ -686,24 +699,166 @@ TEST(MorselTunerTest, DriverFeedbackRefinesPoolTarget) {
   }
   std::atomic<uint64_t> seen{0};
   for (int round = 0; round < 20; ++round) {
-    engine::RunKissRangeMorsels(
-        &pool, pool.tuner(), tree, 0, 0xFFFFFFFFu,
-        [&](size_t, uint32_t lo, uint32_t hi) {
-          tree.ScanRange(lo, hi,
-                         [&](uint32_t, const KissTree::ValueRef& vals) {
-                           // Simulate per-tuple work so the skew is
-                           // measurable on a fast machine.
-                           vals.ForEach([&](uint64_t v) {
-                             seen.fetch_add(v, std::memory_order_relaxed);
-                           });
-                         });
-        });
-    if (pool.tuner()->per_worker() > before) break;
+    auto ranges = PartitionKeySpan(tree, tree.min_key(), tree.max_key(),
+                                   site.morsel_target());
+    engine::RunMorsels(site, ranges.size(), [&](size_t, size_t m) {
+      tree.ScanRange(ranges[m].kiss_lo, ranges[m].kiss_hi,
+                     [&](uint32_t, const KissTree::ValueRef& vals) {
+                       // Simulate per-tuple work so the skew is
+                       // measurable on a fast machine.
+                       vals.ForEach([&](uint64_t v) {
+                         seen.fetch_add(v, std::memory_order_relaxed);
+                       });
+                     });
+    });
+    if (tuner->per_worker() > before) break;
   }
   // The refinement is timing-dependent; what must ALWAYS hold is that
   // the tuner never leaves its clamp range and the scan stays correct.
-  EXPECT_GE(pool.tuner()->per_worker(), engine::MorselTuner::kMinPerWorker);
-  EXPECT_LE(pool.tuner()->per_worker(), engine::MorselTuner::kMaxPerWorker);
+  EXPECT_GE(tuner->per_worker(), engine::MorselTuner::kMinPerWorker);
+  EXPECT_LE(tuner->per_worker(), engine::MorselTuner::kMaxPerWorker);
+}
+
+// ---- selection / select-join identity grid (both tree families) -------------
+
+// A fact table (k: up to 50 K distinct values, d: 11 values, fk -> dims)
+// and a dimension table, indexed once per tree family: "<name>_kiss" /
+// "<name>_prefix". Selections over k exercise key-range morsels; the
+// low-cardinality d exercises the gathered-value slice fallback.
+class SelectionFamilyGridTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kFacts = 20000;
+  static constexpr int64_t kDims = 1000;
+
+  static void SetUpTestSuite() {
+    db_ = new Database();
+    Schema facts({{"k", ValueType::kInt64, nullptr},
+                  {"d", ValueType::kInt64, nullptr},
+                  {"fk", ValueType::kInt64, nullptr},
+                  {"v", ValueType::kInt64, nullptr}});
+    auto fact_table = std::make_unique<RowTable>(facts, "facts");
+    Rng rng(71);
+    for (int64_t i = 0; i < kFacts; ++i) {
+      uint64_t row[4] = {
+          SlotFromInt64(static_cast<int64_t>(rng.NextBounded(50000))),
+          SlotFromInt64(static_cast<int64_t>(rng.NextBounded(11))),
+          SlotFromInt64(static_cast<int64_t>(rng.NextBounded(kDims))),
+          SlotFromInt64(i)};
+      fact_table->AppendRow(row);
+    }
+    Schema dims({{"dk", ValueType::kInt64, nullptr},
+                 {"attr", ValueType::kInt64, nullptr}});
+    auto dim_table = std::make_unique<RowTable>(dims, "dims");
+    for (int64_t i = 0; i < kDims; ++i) {
+      uint64_t row[2] = {SlotFromInt64(i), SlotFromInt64(i % 7)};
+      dim_table->AppendRow(row);
+    }
+    ASSERT_TRUE(db_->AddTable(std::move(fact_table)).ok());
+    ASSERT_TRUE(db_->AddTable(std::move(dim_table)).ok());
+    for (bool kiss : {true, false}) {
+      BaseIndex::Options opt;
+      opt.prefer_kiss = kiss;
+      const std::string suffix = kiss ? "_kiss" : "_prefix";
+      ASSERT_TRUE(db_->BuildIndex("facts_k" + suffix, "facts", {"k"}, {},
+                                  opt).ok());
+      ASSERT_TRUE(db_->BuildIndex("facts_d" + suffix, "facts", {"d"}, {},
+                                  opt).ok());
+      ASSERT_TRUE(db_->BuildIndex("dims_dk" + suffix, "dims", {"dk"}, {},
+                                  opt).ok());
+    }
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  // Result rows in a canonical order: duplicates of one output key may
+  // arrive in any order from the per-worker partials.
+  static std::vector<std::vector<std::string>> Canonical(
+      const QueryResult& result) {
+    std::vector<std::vector<std::string>> rows;
+    for (const auto& row : result.rows) {
+      std::vector<std::string> cells;
+      for (const Value& v : row) cells.push_back(v.ToString());
+      rows.push_back(std::move(cells));
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  static Database* db_;
+};
+
+Database* SelectionFamilyGridTest::db_ = nullptr;
+
+TEST_F(SelectionFamilyGridTest, SelectionsAgreeWithSerialForBothFamilies) {
+  struct Case {
+    const char* name;
+    const char* index;  // fact index stem
+    KeyPredicate predicate;
+    bool select_join;
+  };
+  const Case cases[] = {
+      {"range", "facts_k", KeyPredicate::Range(5000, 40000), false},
+      {"all", "facts_k", KeyPredicate::All(), false},
+      {"low-cardinality", "facts_d", KeyPredicate::Range(1, 3), false},
+      {"range", "facts_k", KeyPredicate::Range(5000, 40000), true},
+      {"all", "facts_k", KeyPredicate::All(), true},
+      {"low-cardinality", "facts_d", KeyPredicate::Range(1, 3), true},
+  };
+  for (bool kiss : {true, false}) {
+    const std::string family = kiss ? "kiss" : "prefix";
+    const std::string suffix = "_" + family;
+    for (const Case& c : cases) {
+      Plan plan;
+      if (c.select_join) {
+        SelectJoinSpec sj;
+        sj.input_index = c.index + suffix;
+        sj.predicate = c.predicate;
+        sj.left_columns = {"fk", "v"};
+        sj.probe_column = "fk";
+        sj.right = SideRef::Base("dims_dk" + suffix);
+        sj.right_columns = {"attr"};
+        sj.output = {"out",
+                     {"attr"},
+                     AggSpec({{AggFn::kSum, ScalarExpr::Column("v"), "s"},
+                              {AggFn::kCount, ScalarExpr::Column("v"),
+                               "n"}})};
+        plan.Emplace<SelectJoinOp>(sj);
+      } else {
+        SelectionSpec sel;
+        sel.input_index = c.index + suffix;
+        sel.predicate = c.predicate;
+        sel.carry_columns = {"k", "d", "v"};
+        sel.output = {"out", {"k"}, {}};
+        plan.Emplace<SelectionOp>(sel);
+      }
+      plan.set_result_slot("out");
+      const std::string label = std::string(c.select_join ? "select-join "
+                                                          : "selection ") +
+                                c.name + " " + family;
+      std::vector<std::vector<std::string>> reference;
+      for (size_t threads : {1, 2, 8}) {
+        engine::EngineConfig cfg;
+        cfg.threads = threads;
+        cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
+        engine::EngineRunner runner(cfg);
+        PlanStats stats;
+        auto got = runner.Execute(*db_, plan, PlanKnobs{}, &stats);
+        ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+        ASSERT_FALSE(got->rows.empty()) << label;
+        if (threads == 1) {
+          reference = Canonical(*got);
+          continue;
+        }
+        EXPECT_EQ(Canonical(*got), reference)
+            << label << " t=" << threads;
+        EXPECT_GT(stats.TotalMorsels(), 1u)
+            << label << " t=" << threads << " stayed serial:\n"
+            << stats.ToString();
+      }
+    }
+  }
 }
 
 // ---- session front door: shared-scan reads ---------------------------------

@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <algorithm>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/operators/selection.h"
@@ -356,6 +358,90 @@ TEST(WriteSessionTest, ConcurrentWritersAndSnapshotReaders) {
             static_cast<size_t>(kInitialRows + kCommits * kBatch));
   EXPECT_EQ(engine.write_stats().committed,
             static_cast<uint64_t>(kCommits));
+}
+
+// Result rows as sorted (k, v) pairs: parallel partials may deliver the
+// duplicates of one key in any order.
+std::vector<std::pair<int64_t, int64_t>> SortedKv(const QueryResult& result) {
+  std::vector<std::pair<int64_t, int64_t>> rows;
+  for (const auto& row : result.rows) {
+    rows.emplace_back(row[0].AsInt(), row[1].AsInt());
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// A morsel-parallel selection over a live *prefix-tree* index, pinned at
+// a snapshot while a writer commits inserts into (and updates within)
+// the very key range it scans. The t=4 result must equal the t=1 result
+// and the quiesced replay at the same read_ts. TSan target.
+TEST(WriteSessionTest, ParallelPrefixSelectionMatchesPinnedSnapshot) {
+  constexpr int64_t kRows = 8192;  // above the parallel-input threshold
+  auto db = std::make_unique<Database>();
+  auto table = std::make_unique<MvccTable>(ItemsSchema(), "items");
+  TransactionManager& tm = db->txn_manager();
+  Transaction txn = tm.Begin();
+  std::vector<std::pair<int64_t, int64_t>> expected;
+  for (int64_t i = 0; i < kRows; ++i) {
+    uint64_t row[2] = {SlotFromInt64(2 * i), SlotFromInt64(i)};  // even k
+    table->Insert(txn, row);
+    expected.emplace_back(2 * i, i);
+  }
+  Timestamp ts = tm.BeginCommit();
+  table->CommitTransaction(txn, ts);
+  tm.FinishCommit(txn, ts);
+  ASSERT_TRUE(db->AddVersionedTable(std::move(table)).ok());
+  BaseIndex::Options opt;
+  opt.prefer_kiss = false;
+  ASSERT_TRUE(db->BuildLiveIndex("items_by_k", "items", {"k"}, opt).ok());
+  ASSERT_EQ(db->index("items_by_k").value()->kind(), BaseIndex::Kind::kPrefix);
+
+  EngineRunner serial(EngineConfig{.threads = 1});
+  EngineRunner parallel(
+      EngineConfig{.threads = 4, .clamp_threads_to_hardware = false});
+  PlanKnobs pinned;
+  pinned.read_ts = tm.last_commit_ts();
+  const Plan scan = RangePlan(0, 4 * kRows);
+
+  constexpr int64_t kCommits = 40;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    [&] {
+      for (int64_t c = 0; c < kCommits; ++c) {
+        WriteSession ws = parallel.OpenWriteSession(db.get());
+        for (int64_t j = 0; j < 8; ++j) {
+          int64_t k = 2 * (c * 8 + j) + 1;  // odd k, inside the scan
+          uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(-k)};
+          ASSERT_TRUE(ws.Insert("items", row).ok());
+        }
+        uint64_t moved[2] = {SlotFromInt64(2 * c), SlotFromInt64(-1)};
+        ASSERT_TRUE(ws.Update("items", /*id=*/c, moved).ok());
+        ASSERT_TRUE(ws.Commit().ok());
+      }
+    }();
+    done.store(true, std::memory_order_release);
+  });
+
+  do {
+    PlanStats stats;
+    auto got = parallel.Execute(*db, scan, pinned, &stats);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_GT(stats.TotalMorsels(), 1u) << stats.ToString();
+    auto reference = serial.Execute(*db, scan, pinned);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_EQ(SortedKv(*got), SortedKv(*reference));
+    ASSERT_EQ(SortedKv(*got), expected);
+  } while (!done.load(std::memory_order_acquire));
+  writer.join();
+
+  // Quiesced replay at the pinned snapshot, and the writes are visible
+  // to a fresh snapshot.
+  auto replay = parallel.Execute(*db, scan, pinned);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(SortedKv(*replay), expected);
+  auto latest = parallel.Execute(*db, scan, PlanKnobs{});
+  ASSERT_TRUE(latest.ok());
+  EXPECT_EQ(latest->rows.size(), static_cast<size_t>(kRows + kCommits * 8));
 }
 
 }  // namespace

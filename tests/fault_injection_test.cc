@@ -24,6 +24,7 @@
 #include "core/plan.h"
 #include "engine/session.h"
 #include "engine/write_session.h"
+#include "util/cancel.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 
@@ -378,6 +379,40 @@ TEST_F(FaultInjectionTest, ChaosRunDegradesCleanlyUnderConcurrency) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(),
             static_cast<size_t>(kInitialRows) + commits.load());
+}
+
+// Operator morsels poll the query's cancel token: a query cancelled
+// while its parallel scan runs skips the morsels that have not started,
+// rather than finishing the scan and failing at the next boundary.
+TEST_F(FaultInjectionTest, CancelSkipsTheRemainingMorsels) {
+  auto db = MakeDb();
+  EngineRunner runner(ParallelConfig());
+  Plan plan = ScanPlan();
+  PlanStats full;
+  ASSERT_TRUE(runner.Execute(*db, plan, ParallelKnobs(), &full).ok());
+  const uint64_t morsels = full.TotalMorsels();
+  ASSERT_GT(morsels, 4u);
+
+  // Every morsel stalls; the first one to start triggers the cancel.
+  fail::FailConfig stall;
+  stall.action = fail::Action::kSleep;
+  stall.sleep_ms = 20;
+  fail::Arm("morsel_exec", stall);
+  CancelToken token;
+  std::thread canceller([&] {
+    while (fail::HitCount("morsel_exec") == 0) std::this_thread::yield();
+    token.RequestCancel();
+  });
+  PlanKnobs knobs = ParallelKnobs();
+  knobs.cancel = &token;
+  auto result = runner.Execute(*db, plan, knobs);
+  canceller.join();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  EXPECT_LT(fail::HitCount("morsel_exec"), morsels)
+      << "every morsel ran although the query was cancelled";
+  fail::DisarmAll();
+  ExpectEngineClean(runner, *db);
 }
 
 // Env-var arming: the syntax documented in util/failpoint.h parses into

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <mutex>
+#include <cstring>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "core/base_index.h"
 #include "core/parallel.h"
 #include "core/sync_scan.h"
 #include "index/key_encoder.h"
@@ -17,250 +18,261 @@
 namespace qppt {
 namespace {
 
-TEST(PartitionKissRangeTest, CoversSpanDisjointly) {
+// ---- PartitionKeySpan: KISS trees -------------------------------------------
+
+// Checks the partitioner contract for a KISS span: at most `shards`
+// ranges, ascending and gap-free from lo to hi, every inner boundary on
+// a level-2 bucket boundary. Returns the ranges for further checks.
+std::vector<KeyRange> ExpectKissTiling(const KissTree& tree, uint32_t lo,
+                                       uint32_t hi, size_t shards) {
+  std::vector<KeyRange> ranges = PartitionKeySpan(tree, lo, hi, shards);
+  EXPECT_FALSE(ranges.empty());
+  EXPECT_LE(ranges.size(), shards);
+  if (ranges.empty()) return ranges;
+  EXPECT_EQ(ranges.front().kiss_lo, lo);
+  EXPECT_EQ(ranges.back().kiss_hi, hi);
+  const uint32_t bucket_mask = (1u << tree.level2_bits()) - 1;
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_LE(ranges[i].kiss_lo, ranges[i].kiss_hi);
+    if (i == 0) continue;
+    EXPECT_EQ(uint64_t{ranges[i - 1].kiss_hi} + 1, ranges[i].kiss_lo);
+    EXPECT_EQ(ranges[i].kiss_lo & bucket_mask, 0u) << "splits a bucket";
+  }
+  return ranges;
+}
+
+TEST(PartitionKeySpanKissTest, TilesTheSpanAndScansEveryKeyOnce) {
   KissTree tree;
   Rng rng(1);
-  for (int i = 0; i < 10000; ++i) {
-    tree.Insert(static_cast<uint32_t>(rng.NextBounded(1 << 20)), 1);
+  std::multiset<uint32_t> reference;
+  for (int i = 0; i < 20000; ++i) {
+    uint32_t key = static_cast<uint32_t>(rng.NextBounded(1 << 20));
+    tree.Insert(key, 1);
+    reference.insert(key);
   }
-  for (size_t shards : {1, 2, 3, 7, 16}) {
-    auto ranges = PartitionKissRange(tree, shards);
-    ASSERT_FALSE(ranges.empty());
-    ASSERT_LE(ranges.size(), shards);
-    EXPECT_EQ(ranges.front().first, tree.min_key());
-    EXPECT_EQ(ranges.back().second, tree.max_key());
-    for (size_t i = 1; i < ranges.size(); ++i) {
-      // Contiguous and disjoint.
-      EXPECT_EQ(uint64_t{ranges[i - 1].second} + 1, ranges[i].first);
+  size_t oversubscribed = std::thread::hardware_concurrency() * 4 + 3;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                        size_t{16}, oversubscribed}) {
+    auto ranges =
+        ExpectKissTiling(tree, tree.min_key(), tree.max_key(), shards);
+    std::multiset<uint32_t> scanned;
+    for (const KeyRange& r : ranges) {
+      tree.ScanRange(r.kiss_lo, r.kiss_hi,
+                     [&](uint32_t key, const KissTree::ValueRef& v) {
+                       for (size_t n = 0; n < v.size(); ++n) {
+                         scanned.insert(key);
+                       }
+                     });
     }
-    // Shard boundaries never split a level-2 node (except at the span
-    // edges which are clamped to min/max).
-    size_t l2 = tree.level2_bits();
-    for (size_t i = 1; i < ranges.size(); ++i) {
-      EXPECT_EQ(ranges[i].first & ((1u << l2) - 1), 0u);
-    }
+    EXPECT_EQ(scanned, reference) << shards;
   }
 }
 
-TEST(PartitionKissRangeTest, EmptyTreeAndZeroShards) {
+TEST(PartitionKeySpanKissTest, EdgeCases) {
   KissTree tree;
-  EXPECT_TRUE(PartitionKissRange(tree, 4).empty());
-  tree.Insert(5, 1);
-  EXPECT_TRUE(PartitionKissRange(tree, 0).empty());
-  auto one = PartitionKissRange(tree, 8);  // more shards than buckets
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].first, 5u);
-  EXPECT_EQ(one[0].second, 5u);
+  const uint32_t bucket = 1u << tree.level2_bits();
+  // Empty span and zero shards: no ranges.
+  EXPECT_TRUE(PartitionKeySpan(tree, 10, 9, 4).empty());
+  EXPECT_TRUE(PartitionKeySpan(tree, 0, 100, 0).empty());
+  // Single key: one range, whatever the shard count.
+  for (size_t shards : {1, 2, 1024}) {
+    auto one = ExpectKissTiling(tree, 5, 5, shards);
+    EXPECT_EQ(one.size(), 1u);
+  }
+  // A span inside one bucket never splits it.
+  EXPECT_EQ(ExpectKissTiling(tree, bucket + 1, 2 * bucket - 2, 64).size(),
+            1u);
+  // More shards than buckets: one range per bucket.
+  EXPECT_EQ(ExpectKissTiling(tree, 3, 3 * bucket - 1, 100).size(), 3u);
+  // The whole 32-bit domain, including the top key.
+  ExpectKissTiling(tree, 0, 0xFFFFFFFFu, 5);
 }
 
-TEST(ParallelScanKissTest, MatchesSequentialScan) {
-  KissTree tree;
-  Rng rng(2);
-  std::map<uint32_t, size_t> reference;
-  for (int i = 0; i < 50000; ++i) {
-    uint32_t key = static_cast<uint32_t>(rng.NextBounded(1 << 18));
-    tree.Insert(key, static_cast<uint64_t>(i));
-    reference[key]++;
-  }
-  for (size_t threads : {1, 2, 4, 8}) {
-    std::mutex mu;
-    std::map<uint32_t, size_t> scanned;
-    std::atomic<uint64_t> values{0};
-    ParallelScan(tree, threads,
-                 [&](size_t, uint32_t key, const KissTree::ValueRef& v) {
-                   std::lock_guard<std::mutex> lock(mu);
-                   scanned[key] += 1;
-                   values += v.size();
-                 });
-    EXPECT_EQ(scanned.size(), reference.size()) << threads;
-    EXPECT_EQ(values.load(), 50000u) << threads;
-    for (const auto& [key, count] : scanned) {
-      EXPECT_EQ(count, 1u) << "key visited twice with " << threads;
-    }
-  }
+// ---- PartitionKeySpan: prefix trees -----------------------------------------
+
+void PutU32(uint32_t v, uint8_t* out) {
+  KeyBuf buf;
+  buf.AppendU32(v);
+  std::memcpy(out, buf.data(), 4);
 }
 
-TEST(ParallelScanKissTest, ShardsSeeAscendingDisjointKeys) {
-  KissTree tree;
-  for (uint32_t k = 0; k < 100000; k += 3) tree.Insert(k, k);
-  constexpr size_t kThreads = 4;
-  std::vector<std::vector<uint32_t>> per_shard(kThreads);
-  std::mutex mu;
-  ParallelScan(tree, kThreads,
-               [&](size_t shard, uint32_t key, const KissTree::ValueRef&) {
-                 std::lock_guard<std::mutex> lock(mu);
-                 per_shard[shard].push_back(key);
-               });
-  std::set<uint32_t> all;
-  for (const auto& keys : per_shard) {
-    for (size_t i = 1; i < keys.size(); ++i) {
-      EXPECT_LT(keys[i - 1], keys[i]);  // in-order within shard
-    }
-    for (uint32_t k : keys) {
-      EXPECT_TRUE(all.insert(k).second);  // disjoint across shards
-    }
-  }
-  EXPECT_EQ(all.size(), tree.num_keys());
+bool KeyBit(const uint8_t* key, size_t bit) {
+  return ((key[bit >> 3] >> (7 - (bit & 7))) & 1) != 0;
 }
 
-TEST(ParallelScanPrefixTest, MatchesSequentialScan) {
+// Checks the partitioner contract for a prefix span: at most `shards`
+// ranges, ascending and gap-free from lo to hi, every inner boundary on
+// a whole fragment of the branching level (bits below the fragment all
+// zeros in a lower bound, all ones in an upper bound).
+std::vector<KeyRange> ExpectPrefixTiling(const PrefixTree& tree,
+                                         const uint8_t* lo,
+                                         const uint8_t* hi, size_t shards,
+                                         size_t* branch = nullptr) {
+  const size_t key_len = tree.key_len();
+  size_t branch_bit_off = 0;
+  std::vector<KeyRange> ranges =
+      PartitionKeySpan(tree, lo, hi, shards, &branch_bit_off);
+  if (branch != nullptr) *branch = branch_bit_off;
+  EXPECT_FALSE(ranges.empty());
+  EXPECT_LE(ranges.size(), shards);
+  if (ranges.empty()) return ranges;
+  EXPECT_EQ(CompareKeys(ranges.front().prefix_lo, lo, key_len), 0);
+  EXPECT_EQ(CompareKeys(ranges.back().prefix_hi, hi, key_len), 0);
+  const size_t key_bits = key_len * 8;
+  const size_t below = std::min(branch_bit_off + tree.config().kprime,
+                                key_bits);
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_LE(CompareKeys(ranges[i].prefix_lo, ranges[i].prefix_hi, key_len),
+              0);
+    if (i == 0) continue;
+    uint8_t next[KeyBuf::kCapacity];
+    std::memcpy(next, ranges[i - 1].prefix_hi, key_len);
+    for (size_t b = key_len; b-- > 0;) {
+      if (++next[b] != 0) break;
+    }
+    EXPECT_EQ(CompareKeys(next, ranges[i].prefix_lo, key_len), 0)
+        << "gap or overlap before range " << i;
+    for (size_t bit = below; bit < key_bits; ++bit) {
+      EXPECT_FALSE(KeyBit(ranges[i].prefix_lo, bit)) << "unaligned lo " << i;
+      EXPECT_TRUE(KeyBit(ranges[i - 1].prefix_hi, bit))
+          << "unaligned hi " << i - 1;
+    }
+  }
+  return ranges;
+}
+
+TEST(PartitionKeySpanPrefixTest, TilesTheSpanAndScansEveryKeyOnce) {
   PrefixTree tree({.key_len = 4, .kprime = 4});
   Rng rng(3);
   std::set<uint32_t> reference;
-  KeyBuf buf;
+  uint8_t key[4];
   for (int i = 0; i < 20000; ++i) {
-    uint32_t key = rng.Next32();
-    buf.clear();
-    buf.AppendU32(key);
-    tree.Upsert(buf.data(), key);
-    reference.insert(key);
+    uint32_t k = rng.Next32();
+    PutU32(k, key);
+    tree.Upsert(key, k);
+    reference.insert(k);
   }
-  for (size_t threads : {1, 3, 8, 64}) {
-    std::mutex mu;
+  const uint8_t* lo = tree.MinContent()->key();
+  const uint8_t* hi = tree.MaxContent()->key();
+  size_t oversubscribed = std::thread::hardware_concurrency() * 4 + 3;
+  for (size_t shards : {size_t{1}, size_t{3}, size_t{8}, size_t{64},
+                        oversubscribed}) {
+    auto ranges = ExpectPrefixTiling(tree, lo, hi, shards);
     std::set<uint32_t> scanned;
-    ParallelScan(tree, threads,
-                 [&](size_t, const PrefixTree::ContentNode& c) {
-                   std::lock_guard<std::mutex> lock(mu);
-                   scanned.insert(DecodeU32(c.key()));
-                 });
-    EXPECT_EQ(scanned, reference) << threads;
+    for (const KeyRange& r : ranges) {
+      tree.ScanRange(r.prefix_lo, r.prefix_hi,
+                     [&](const PrefixTree::ContentNode& c) {
+                       EXPECT_TRUE(scanned.insert(DecodeU32(c.key())).second);
+                     });
+    }
+    EXPECT_EQ(scanned, reference) << shards;
   }
 }
 
-TEST(ParallelScanPrefixTest, MoreThreadsThanRootBuckets) {
-  PrefixTree tree({.key_len = 1, .kprime = 2});  // root fanout 4
-  uint8_t key = 0x00;
-  tree.Insert(&key, 1);
-  key = 0xFF;
-  tree.Insert(&key, 2);
-  std::atomic<int> visits{0};
-  ParallelScan(tree, 16,
-               [&](size_t, const PrefixTree::ContentNode&) { ++visits; });
-  EXPECT_EQ(visits.load(), 2);
+TEST(PartitionKeySpanPrefixTest, SplitsAtTheBranchingFragment) {
+  PrefixTree tree({.key_len = 4, .kprime = 4});
+  uint8_t lo[4];
+  uint8_t hi[4];
+  // Shared leading nibbles 0,0,0,0,1; the bounds first differ in nibble 5.
+  PutU32(0x00001234, lo);
+  PutU32(0x00001ABC, hi);
+  size_t branch = 0;
+  for (size_t shards : {1, 2, 3, 100}) {
+    auto ranges = ExpectPrefixTiling(tree, lo, hi, shards, &branch);
+    EXPECT_EQ(branch, 20u);
+    // Fragments 2..A at the branching level: at most nine ranges.
+    EXPECT_EQ(ranges.size(), std::min<size_t>(shards, 9));
+  }
+  // Uneven last fragment (8-bit keys, k'=3: widths 3, 3, 2).
+  PrefixTree narrow({.key_len = 1, .kprime = 3});
+  uint8_t nlo = 0x40;  // 010 000 00
+  uint8_t nhi = 0x43;  // 010 000 11
+  auto ranges = ExpectPrefixTiling(narrow, &nlo, &nhi, 8, &branch);
+  EXPECT_EQ(branch, 6u);
+  EXPECT_EQ(ranges.size(), 4u);
 }
 
-// ---- partition edge cases (both families) ----------------------------------
-
-TEST(PartitionKissRangeTest, EdgeCases) {
-  // Empty tree: no ranges, for any shard count.
-  KissTree empty;
-  EXPECT_TRUE(PartitionKissRange(empty, 1).empty());
-  EXPECT_TRUE(PartitionKissRange(empty, 64).empty());
-
-  // Single populated bucket (all keys share one level-2 node): exactly
-  // one range regardless of requested shards.
-  KissTree one_bucket;
-  for (uint32_t k = 0; k < 64; ++k) one_bucket.Insert(k, k);
-  for (size_t shards : {1, 2, 1024}) {
-    auto ranges = PartitionKissRange(one_bucket, shards);
-    ASSERT_EQ(ranges.size(), 1u) << shards;
-    EXPECT_EQ(ranges[0].first, one_bucket.min_key());
-    EXPECT_EQ(ranges[0].second, one_bucket.max_key());
-  }
-
-  // More shards than populated buckets: shard count collapses to the
-  // bucket count, ranges stay disjoint and covering.
-  KissTree sparse;
-  size_t l2 = sparse.level2_bits();
-  for (uint32_t b = 0; b < 3; ++b) {
-    sparse.Insert(static_cast<uint32_t>(b << l2), b);
-  }
-  auto ranges = PartitionKissRange(sparse, 100);
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges.front().first, sparse.min_key());
-  EXPECT_EQ(ranges.back().second, sparse.max_key());
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_EQ(uint64_t{ranges[i - 1].second} + 1, ranges[i].first);
-  }
-
-  // More shards than the machine has hardware threads: the partitioner
-  // (and the scan driver) must not care.
-  size_t oversubscribed = std::thread::hardware_concurrency() * 4 + 3;
-  KissTree big;
-  Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    big.Insert(static_cast<uint32_t>(rng.NextBounded(1 << 22)), 1);
-  }
-  auto many = PartitionKissRange(big, oversubscribed);
-  ASSERT_FALSE(many.empty());
-  ASSERT_LE(many.size(), oversubscribed);
-  EXPECT_EQ(many.front().first, big.min_key());
-  EXPECT_EQ(many.back().second, big.max_key());
-  EXPECT_EQ(ParallelCountValues(big, oversubscribed), 20000u);
-}
-
-TEST(PartitionKissRangeTest, ClampedSpanOverload) {
-  KissTree tree;
-  for (uint32_t k = 1000; k < 9000; ++k) tree.Insert(k, k);
-  auto ranges = PartitionKissRange(tree, 2000, 4000, 4);
-  ASSERT_FALSE(ranges.empty());
-  EXPECT_EQ(ranges.front().first, 2000u);
-  EXPECT_EQ(ranges.back().second, 4000u);
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_EQ(uint64_t{ranges[i - 1].second} + 1, ranges[i].first);
-  }
-  // Span disjoint from the populated range: empty.
-  EXPECT_TRUE(PartitionKissRange(tree, 20000, 30000, 4).empty());
-}
-
-TEST(PartitionPrefixRangeTest, EdgeCases) {
-  // Empty tree.
-  PrefixTree empty({.key_len = 4, .kprime = 4});
-  EXPECT_TRUE(PartitionPrefixRange(empty, 8).empty());
-
-  // Single populated root bucket: one span, even for huge shard counts.
-  PrefixTree one_bucket({.key_len = 4, .kprime = 4});
-  KeyBuf buf;
-  for (uint32_t k = 0; k < 100; ++k) {
-    buf.clear();
-    buf.AppendU32(k);  // all keys share top fragment 0
-    one_bucket.Upsert(buf.data(), k);
-  }
+TEST(PartitionKeySpanPrefixTest, EdgeCases) {
+  PrefixTree tree({.key_len = 4, .kprime = 4});
+  uint8_t lo[4];
+  uint8_t hi[4];
+  // Empty span (lo > hi) and zero shards: no ranges.
+  PutU32(200, lo);
+  PutU32(100, hi);
+  EXPECT_TRUE(PartitionKeySpan(tree, lo, hi, 4).empty());
+  PutU32(100, lo);
+  PutU32(200, hi);
+  EXPECT_TRUE(PartitionKeySpan(tree, lo, hi, 0).empty());
+  // Single key: one range, no branching fragment.
+  size_t branch = 0;
   for (size_t shards : {1, 2, 512}) {
-    auto ranges = PartitionPrefixRange(one_bucket, shards);
-    ASSERT_EQ(ranges.size(), 1u) << shards;
+    auto one = ExpectPrefixTiling(tree, lo, lo, shards, &branch);
+    EXPECT_EQ(one.size(), 1u);
+    EXPECT_EQ(branch, 32u);
   }
+  // The whole encoded domain branches at the root.
+  PutU32(0, lo);
+  PutU32(0xFFFFFFFFu, hi);
+  EXPECT_EQ(ExpectPrefixTiling(tree, lo, hi, 64, &branch).size(), 16u);
+  EXPECT_EQ(branch, 0u);
+}
 
-  // shards > populated buckets: one span per populated bucket; spans are
-  // disjoint, ascending, and skip unpopulated slots at the boundaries.
-  PrefixTree sparse({.key_len = 4, .kprime = 4});
-  for (uint32_t top : {2u, 7u, 11u}) {
-    buf.clear();
-    buf.AppendU32(top << 28);
-    sparse.Upsert(buf.data(), top);
-  }
-  auto ranges = PartitionPrefixRange(sparse, 100);
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges[0].first, 2u);
-  EXPECT_EQ(ranges[1].first, 7u);
-  EXPECT_EQ(ranges[2].first, 11u);
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_LE(ranges[i - 1].second, ranges[i].first);
-  }
+// ---- clamped spans: BaseIndex::PartitionKeys (both families) ----------------
 
-  // shards > hardware threads, on a populated tree: full coverage.
-  size_t oversubscribed = std::thread::hardware_concurrency() * 4 + 3;
-  PrefixTree big({.key_len = 4, .kprime = 4});
-  Rng rng(13);
-  std::set<uint32_t> reference;
-  for (int i = 0; i < 5000; ++i) {
-    uint32_t key = rng.Next32();
-    buf.clear();
-    buf.AppendU32(key);
-    big.Upsert(buf.data(), key);
-    reference.insert(key);
+TEST(PartitionKeysTest, ClampsTheSpanToThePopulatedKeys) {
+  Schema schema({{"k", ValueType::kInt64, nullptr}});
+  RowTable table(schema, "t");
+  for (int64_t k = 1000; k < 9000; ++k) {
+    uint64_t row[1] = {SlotFromInt64(k)};
+    table.AppendRow(row);
   }
-  auto many = PartitionPrefixRange(big, oversubscribed);
-  ASSERT_FALSE(many.empty());
-  ASSERT_LE(many.size(), oversubscribed);
-  std::mutex mu;
-  std::set<uint32_t> scanned;
-  ParallelScan(big, oversubscribed,
-               [&](size_t, const PrefixTree::ContentNode& c) {
-                 std::lock_guard<std::mutex> lock(mu);
-                 scanned.insert(DecodeU32(c.key()));
-               });
-  EXPECT_EQ(scanned, reference);
+  for (bool kiss : {true, false}) {
+    BaseIndex::Options opt;
+    opt.prefer_kiss = kiss;
+    opt.kiss_root_bits = 20;
+    auto index_or = BaseIndex::Build(&table, {"k"}, {}, opt);
+    ASSERT_TRUE(index_or.ok());
+    const BaseIndex& index = **index_or;
+    ASSERT_EQ(index.kind(),
+              kiss ? BaseIndex::Kind::kKiss : BaseIndex::Kind::kPrefix);
+    auto keys_of = [&](const std::vector<KeyRange>& ranges) {
+      std::multiset<int64_t> keys;
+      for (const KeyRange& r : ranges) {
+        index.ForEachInKeyRange(r, [&](uint64_t rid) {
+          keys.insert(Int64FromSlot(table.GetSlot(rid, 0)));
+        });
+      }
+      return keys;
+    };
+    auto expect_keys = [&](const std::vector<KeyRange>& ranges, int64_t lo,
+                           int64_t hi) {
+      std::multiset<int64_t> want;
+      for (int64_t k = lo; k <= hi; ++k) want.insert(k);
+      EXPECT_EQ(keys_of(ranges), want) << (kiss ? "kiss" : "prefix");
+    };
+    // Open bounds and bounds wider than the populated keys clamp to them.
+    auto all = index.PartitionKeys(nullptr, nullptr, 8);
+    ASSERT_FALSE(all.empty());
+    EXPECT_LE(all.size(), 8u);
+    expect_keys(all, 1000, 8999);
+    uint64_t wide_lo = SlotFromInt64(10);
+    uint64_t wide_hi = SlotFromInt64(100000);
+    auto wide = index.PartitionKeys(&wide_lo, &wide_hi, 8);
+    ASSERT_FALSE(wide.empty());
+    expect_keys(wide, 1000, 8999);
+    if (kiss) {
+      EXPECT_EQ(wide.front().kiss_lo, 1000u);
+      EXPECT_EQ(wide.back().kiss_hi, 8999u);
+    }
+    // Bounds inside the populated keys are kept.
+    uint64_t lo = SlotFromInt64(2000);
+    uint64_t hi = SlotFromInt64(4000);
+    expect_keys(index.PartitionKeys(&lo, &hi, 4), 2000, 4000);
+    // A span disjoint from the populated keys: no ranges.
+    uint64_t far_lo = SlotFromInt64(20000);
+    uint64_t far_hi = SlotFromInt64(30000);
+    EXPECT_TRUE(index.PartitionKeys(&far_lo, &far_hi, 4).empty());
+  }
 }
 
 // ---- pair partitioning (parallel prefix-tree star join) --------------------
@@ -373,34 +385,34 @@ TEST(FindPairScanLevelTest, SlicedScanMatchesIntersection) {
   }
 }
 
-// ---- exception safety of the fork-join driver ------------------------------
+// ---- exception safety of the fork-join scope -------------------------------
 
 TEST(ForkJoinTest, WorkerExceptionIsRethrownAfterJoin) {
-  KissTree tree;
-  for (uint32_t k = 0; k < 100000; ++k) tree.Insert(k, k);
-  auto ranges = PartitionKissRange(tree, 4);
-  ASSERT_GT(ranges.size(), 1u);
-  // A throwing shard functor must surface on the forking thread, not
-  // std::terminate the process.
-  EXPECT_THROW(
-      ParallelScan(tree, 4,
-                   [&](size_t shard, uint32_t, const KissTree::ValueRef&) {
-                     if (shard == 1) throw std::runtime_error("shard boom");
-                   }),
-      std::runtime_error);
-  // The scan substrate stays usable afterwards.
-  EXPECT_EQ(ParallelCountValues(tree, 4), 100000u);
+  std::atomic<int> ran{0};
+  ForkJoin fork(4);
+  for (int i = 0; i < 4; ++i) {
+    fork.Spawn([&, i] {
+      ++ran;
+      // A throwing worker must surface on the forking thread, not
+      // std::terminate the process.
+      if (i == 1) throw std::runtime_error("worker boom");
+    });
+  }
+  EXPECT_THROW(fork.Join(), std::runtime_error);
+  EXPECT_EQ(ran.load(), 4) << "every worker runs to completion";
+  // The scope stays usable afterwards, and a clean round rethrows nothing.
+  fork.Spawn([&] { ++ran; });
+  EXPECT_NO_THROW(fork.Join());
+  EXPECT_EQ(ran.load(), 5);
 }
 
-TEST(ParallelCountValuesTest, CountsDuplicates) {
-  KissTree tree;
-  for (int i = 0; i < 1000; ++i) {
-    tree.Insert(static_cast<uint32_t>(i % 10), static_cast<uint64_t>(i));
+TEST(ForkJoinTest, ScopeExitJoinsWithoutJoin) {
+  std::atomic<int> ran{0};
+  {
+    ForkJoin fork;
+    for (int i = 0; i < 3; ++i) fork.Spawn([&] { ++ran; });
   }
-  EXPECT_EQ(ParallelCountValues(tree, 4), 1000u);
-  EXPECT_EQ(ParallelCountValues(tree, 1), 1000u);
-  KissTree empty;
-  EXPECT_EQ(ParallelCountValues(empty, 4), 0u);
+  EXPECT_EQ(ran.load(), 3);
 }
 
 }  // namespace
