@@ -16,6 +16,14 @@ bool KissEligible(const std::vector<ValueType>& key_types) {
   return key_types.size() == 1 && key_types[0] != ValueType::kDouble;
 }
 
+void AppendKeyComponent(ValueType type, uint64_t slot, KeyBuf* out) {
+  if (type == ValueType::kDouble) {
+    out->AppendDouble(DoubleFromSlot(slot));
+  } else {
+    out->AppendI64(Int64FromSlot(slot));
+  }
+}
+
 }  // namespace
 
 Result<std::unique_ptr<BaseIndex>> BaseIndex::Build(
@@ -210,12 +218,15 @@ std::vector<KeyRange> BaseIndex::PartitionKeys(const uint64_t* lo_slots,
 void BaseIndex::EncodeKey(const uint64_t* key_slots, KeyBuf* out) const {
   out->clear();
   for (size_t i = 0; i < key_types_.size(); ++i) {
-    if (key_types_[i] == ValueType::kDouble) {
-      out->AppendDouble(DoubleFromSlot(key_slots[i]));
-    } else {
-      out->AppendI64(Int64FromSlot(key_slots[i]));
-    }
+    AppendKeyComponent(key_types_[i], key_slots[i], out);
   }
+}
+
+void BaseIndex::EncodeLeadingBound(uint64_t slot, uint8_t fill,
+                                   KeyBuf* out) const {
+  out->clear();
+  AppendKeyComponent(key_types_[0], slot, out);
+  out->AppendFill(fill, (key_types_.size() - 1) * 8);
 }
 
 // ---- Database ---------------------------------------------------------------

@@ -152,9 +152,6 @@ class BaseIndex {
   // --- key handling ------------------------------------------------------------
 
   void EncodeKey(const uint64_t* key_slots, KeyBuf* out) const;
-  static uint32_t KissKeyOf(uint64_t slot) {
-    return static_cast<uint32_t>(Int64FromSlot(slot));
-  }
 
   // --- scans ----------------------------------------------------------------------
   //
@@ -197,11 +194,16 @@ class BaseIndex {
 
   size_t num_key_columns() const { return key_cols_.size(); }
 
+  // Single-column predicates on the leading key column. On a composite
+  // prefix index they scan every key whose leading component matches
+  // (a leading-column prefix scan).
   template <typename F>
   void ForEachMatch(uint64_t key_slot, F&& fn) const {
     if (kind_ == Kind::kKiss) {
       KissTree::ValueRef vals;
       if (kiss_->Lookup(KissKeyOf(key_slot), &vals)) vals.ForEach(fn);
+    } else if (key_cols_.size() > 1) {
+      ForEachInRange(key_slot, key_slot, fn);
     } else {
       KeyBuf key;
       EncodeKey(&key_slot, &key);
@@ -219,8 +221,8 @@ class BaseIndex {
                        });
     } else {
       KeyBuf lo, hi;
-      EncodeKey(&lo_slot, &lo);
-      EncodeKey(&hi_slot, &hi);
+      EncodeLeadingBound(lo_slot, 0x00, &lo);
+      EncodeLeadingBound(hi_slot, 0xFF, &hi);
       prefix_->ScanRange(lo.data(), hi.data(),
                          [&](const PrefixTree::ContentNode& c) {
                            prefix_->ValuesOf(&c)->ForEach(fn);
@@ -278,6 +280,11 @@ class BaseIndex {
   Status Init(const RowTable* table, const std::vector<Rid>* rids,
               std::vector<std::string> key_columns,
               std::vector<std::string> included_columns, Options options);
+
+  // Encodes `slot` as the leading key component and pads the trailing
+  // components with `fill` bytes (0x00: below, 0xFF: above every key
+  // sharing the leading component).
+  void EncodeLeadingBound(uint64_t slot, uint8_t fill, KeyBuf* out) const;
 
   Kind kind_ = Kind::kPrefix;
   const RowTable* table_ = nullptr;

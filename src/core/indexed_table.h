@@ -209,7 +209,7 @@ class IndexedTable {
     std::vector<uint64_t> out(schema_.num_columns());
     if (kind_ == Kind::kKiss) {
       kiss_->ScanPayloads([&](uint32_t key, const std::byte* payload) {
-        out[0] = SlotFromInt64(static_cast<int64_t>(key));
+        out[0] = SlotOfKissKey(key);
         FinalizeInto(payload, out.data());
         fn(out.data());
       });
@@ -223,11 +223,6 @@ class IndexedTable {
   }
 
   // --- key handling (shared with operators) -----------------------------------
-
-  // The 32-bit KISS key for `slot` (valid for kKiss tables).
-  static uint32_t KissKeyOf(uint64_t slot) {
-    return static_cast<uint32_t>(Int64FromSlot(slot));
-  }
 
   // Encodes key column slots into `out` for prefix-tree tables.
   void EncodeKey(const uint64_t* key_slots, KeyBuf* out) const;

@@ -132,8 +132,7 @@ void CandidatePipeline::Process() {
       jobs_.clear();
       jobs_.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        jobs_[i].key = IndexedTable::KissKeyOf(
-            (*rows)[i * width_ + assist.probe_pos]);
+        jobs_[i].key = KissKeyOf((*rows)[i * width_ + assist.probe_pos]);
       }
       kiss->BatchLookup(jobs_);
       for (size_t i = 0; i < n; ++i) {
@@ -147,8 +146,7 @@ void CandidatePipeline::Process() {
       for (size_t i = 0; i < n; ++i) {
         const uint64_t* row = rows->data() + i * width_;
         KissTree::ValueRef values;
-        if (!kiss->Lookup(IndexedTable::KissKeyOf(row[assist.probe_pos]),
-                          &values)) {
+        if (!kiss->Lookup(KissKeyOf(row[assist.probe_pos]), &values)) {
           continue;
         }
         values.ForEach([&](uint64_t v) { expand(row, v); });

@@ -122,16 +122,20 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     stats.merge_ms = merge.ElapsedMs();
   };
 
-  // Prefix-family morsels: the two trees' jointly populated subtrees at
-  // their branching level (FindPairScanLevel, core/sync_scan.h), chopped
-  // into slot-list slices; scan_slice(worker, level, begin, end) scans
-  // one slice. Returns the morsel count (0 = no shared subtree).
+  // Prefix-family morsels: the two trees' jointly populated subtree
+  // pairs, expanded below the branching level until there are enough to
+  // fill the morsel target (PairScanUnits, core/sync_scan.h), chopped
+  // into unit slices; scan_slice(worker, units) scans one slice. Returns
+  // the morsel count (0 = no shared subtree).
   auto run_pair_slices = [&](const PrefixTree& l, const PrefixTree& r,
                              auto&& scan_slice) {
-    PairScanLevel level = FindPairScanLevel(l, r);
-    auto slices = SplitEvenly(level.slots.size(), site.morsel_target());
+    const size_t target = site.morsel_target();
+    std::vector<PairScanUnit> units = PairScanUnits(l, r, target);
+    auto slices = SplitEvenly(units.size(), target);
     engine::RunMorsels(site, slices.size(), [&](size_t w, size_t m) {
-      scan_slice(w, level, slices[m].first, slices[m].second);
+      scan_slice(w, std::span<const PairScanUnit>(units).subspan(
+                        slices[m].first,
+                        slices[m].second - slices[m].first));
     });
     return slices.size();
   };
@@ -148,8 +152,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
 
   if (!left.is_kiss() && !right.is_kiss()) {
     // Prefix-tree mains: structural synchronous scan. The parallel path
-    // splits the trees at their branching level into disjoint subtree
-    // pair morsels (§7: deterministic key positions, no rebalancing).
+    // splits the trees into disjoint subtree-pair morsels (§7:
+    // deterministic key positions, no rebalancing).
     const PrefixTree& lp = *left.prefix();
     const PrefixTree& rp = *right.prefix();
     auto emit_lists = [&](CandidatePipeline* pipeline, const ValueList* lv,
@@ -162,15 +166,13 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
       run_parallel([&](auto& pipelines) {
         return run_pair_slices(
             lp, rp,
-            [&](size_t w, const PairScanLevel& level, size_t begin,
-                size_t end) {
+            [&](size_t w, std::span<const PairScanUnit> units) {
               CandidatePipeline* pipeline = pipelines[w].get();
-              SynchronousScanPairSlots(
-                  lp, rp, level, begin, end,
-                  [&](const uint8_t*, const ValueList* lv,
-                      const ValueList* rv) {
-                    emit_lists(pipeline, lv, rv);
-                  });
+              SynchronousScanUnits(lp, rp, units,
+                                   [&](const uint8_t*, const ValueList* lv,
+                                       const ValueList* rv) {
+                                     emit_lists(pipeline, lv, rv);
+                                   });
             });
       });
     } else {
@@ -230,10 +232,10 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     // base main joined with a prefix-tree intermediate when prefer_kiss
     // is off): scan the prefix side's keys in order and probe the KISS
     // side with §2.3 batched, software-prefetched lookups
-    // (KissTree::BatchLookup). Probing with KissKeyOf's 32-bit
-    // truncation reproduces exactly the conflation a KISS x KISS scan
-    // applies to every attribute value — no reconstruction heuristics.
-    // The parallel path splits the prefix side at its branching level
+    // (KissTree::BatchLookup). Probing with KissKeyOf's 32-bit key
+    // reproduces exactly the mapping a KISS x KISS scan applies to every
+    // attribute value — no reconstruction heuristics.
+    // The parallel path splits the prefix side into subtree units
     // (self-pairing reuses the pair-scan partitioner).
     const bool left_is_kiss = left.is_kiss();
     const KissTree& ktree = left_is_kiss ? *left.kiss() : *right.kiss();
@@ -271,7 +273,7 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
         n = 0;
       };
       enumerate([&](const uint8_t* key, const ValueList* vals) {
-        jobs[n].key = static_cast<uint32_t>(DecodeI64(key));  // KissKeyOf
+        jobs[n].key = KissKeyOf(SlotFromInt64(DecodeI64(key)));
         prefix_vals[n] = vals;
         if (++n == kMixedProbeBatch) flush();
       });
@@ -287,11 +289,10 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
       run_parallel([&](auto& pipelines) {
         return run_pair_slices(
             ptree, ptree,  // self-pair: every populated subtree
-            [&](size_t w, const PairScanLevel& level, size_t begin,
-                size_t end) {
+            [&](size_t w, std::span<const PairScanUnit> units) {
               scan_mixed(pipelines[w].get(), [&](auto&& sink) {
-                SynchronousScanPairSlots(
-                    ptree, ptree, level, begin, end,
+                SynchronousScanUnits(
+                    ptree, ptree, units,
                     [&](const uint8_t* key, const ValueList* vals,
                         const ValueList*) { sink(key, vals); });
               });

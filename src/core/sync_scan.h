@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "index/kiss_tree.h"
@@ -153,79 +154,86 @@ void SynchronousScan(const PrefixTree& left, const PrefixTree& right,
   internal::SyncScanRec(left, right, left.root(), right.root(), 0, fn);
 }
 
-// ---- parallel pair scan (branching-level partitioning) -----------------------
+// ---- parallel pair scan (subtree-pair units) --------------------------------
 //
-// Order-preserving encodings give keys long shared prefixes (e.g. the
-// sign-flipped leading bytes of small int64 keys), so the top of both
-// trees is a chain of single-slot inner nodes holding zero parallelism.
-// FindPairScanLevel descends that chain to the *branching level*: the
-// shallowest level with more than one jointly populated slot (or a
-// content node). Its slot list is the morsel source of the parallel
-// prefix-tree star join — each jointly populated slot is an independent
-// subtree pair, scanned by SynchronousScanPairSlots.
+// A deterministic prefix tree splits into disjoint subtrees at *any*
+// depth (§7), so a jointly populated slot pair at any level is an
+// independent piece of the synchronous scan. Order-preserving encodings
+// give keys long shared prefixes (e.g. the sign-flipped leading bytes of
+// small int64 keys), so the top of both trees is a chain of single-slot
+// inner nodes holding zero parallelism, and the first level that branches
+// is often narrower than the worker pool. PairScanUnits descends that
+// chain, then keeps replacing every inner x inner pair by its jointly
+// populated children, one level at a time, until the list holds
+// `target` units or only content pairs remain. The units are the morsel
+// source of the parallel prefix-tree star join.
 
-struct PairScanLevel {
-  const PrefixTree::Node* lnode = nullptr;
-  const PrefixTree::Node* rnode = nullptr;
-  size_t bit_off = 0;          // bit offset of this level's fragment
-  size_t width = 0;            // fragment width at this level
-  std::vector<size_t> slots;   // jointly populated slots, ascending
+// One jointly populated slot pair met in the fragment at `bit_off` of
+// width `width` — exactly what internal::SyncScanSlotPair consumes.
+struct PairScanUnit {
+  PrefixTree::Slot left = 0;
+  PrefixTree::Slot right = 0;
+  size_t bit_off = 0;
+  size_t width = 0;
 };
 
-inline PairScanLevel FindPairScanLevel(const PrefixTree& left,
-                                       const PrefixTree& right) {
+// The subtree-pair units of left x right in ascending key order: at
+// least `target` of them unless the trees run out of inner x inner pairs
+// first. Empty when no subtree is populated in both trees.
+inline std::vector<PairScanUnit> PairScanUnits(const PrefixTree& left,
+                                               const PrefixTree& right,
+                                               size_t target) {
   assert(left.key_len() == right.key_len() &&
          left.config().kprime == right.config().kprime &&
          "synchronous scan requires identical key layout");
-  PairScanLevel level;
-  if (left.num_keys() == 0 || right.num_keys() == 0) return level;
-  size_t key_bits = left.key_len() * 8;
-  const PrefixTree::Node* lnode = left.root();
-  const PrefixTree::Node* rnode = right.root();
-  size_t bit_off = 0;
-  for (;;) {
-    size_t width = std::min(left.config().kprime, key_bits - bit_off);
-    level.lnode = lnode;
-    level.rnode = rnode;
-    level.bit_off = bit_off;
-    level.width = width;
-    level.slots.clear();
-    size_t fanout = size_t{1} << width;
-    for (size_t i = 0; i < fanout; ++i) {
-      if (PrefixTree::LoadSlot(&lnode->slots[i]) != 0 &&
-          PrefixTree::LoadSlot(&rnode->slots[i]) != 0) {
-        level.slots.push_back(i);
+  std::vector<PairScanUnit> units;
+  if (left.num_keys() == 0 || right.num_keys() == 0) return units;
+  const size_t key_bits = left.key_len() * 8;
+  const size_t kprime = left.config().kprime;
+  // Appends the jointly populated slot pairs of one node pair.
+  auto expand = [&](const PrefixTree::Node* lnode,
+                    const PrefixTree::Node* rnode, size_t bit_off,
+                    std::vector<PairScanUnit>* out) {
+    size_t width = std::min(kprime, key_bits - bit_off);
+    for (size_t i = 0; i < (size_t{1} << width); ++i) {
+      PrefixTree::Slot ls = PrefixTree::LoadSlot(&lnode->slots[i]);
+      if (ls == 0) continue;
+      PrefixTree::Slot rs = PrefixTree::LoadSlot(&rnode->slots[i]);
+      if (rs == 0) continue;
+      out->push_back({ls, rs, bit_off, width});
+    }
+  };
+  auto inner_pair = [](const PairScanUnit& u) {
+    return !PrefixTree::IsContent(u.left) && !PrefixTree::IsContent(u.right);
+  };
+  expand(left.root(), right.root(), 0, &units);
+  std::vector<PairScanUnit> next;
+  while ((units.size() == 1 || units.size() < target) &&
+         std::any_of(units.begin(), units.end(), inner_pair)) {
+    next.clear();
+    for (const PairScanUnit& u : units) {
+      if (inner_pair(u)) {
+        expand(PrefixTree::AsNode(u.left), PrefixTree::AsNode(u.right),
+               u.bit_off + u.width, &next);
+      } else {
+        next.push_back(u);
       }
     }
-    if (level.slots.size() != 1) return level;  // branched (or empty): stop
-    PrefixTree::Slot ls = PrefixTree::LoadSlot(&lnode->slots[level.slots[0]]);
-    PrefixTree::Slot rs = PrefixTree::LoadSlot(&rnode->slots[level.slots[0]]);
-    if (PrefixTree::IsContent(ls) || PrefixTree::IsContent(rs) ||
-        bit_off + width >= key_bits) {
-      return level;  // single pair resolves directly — nothing to split
-    }
-    lnode = PrefixTree::AsNode(ls);
-    rnode = PrefixTree::AsNode(rs);
-    bit_off += width;
+    units.swap(next);
   }
+  return units;
 }
 
-// Scans the subtree pairs behind level.slots[begin..end) (indexes into
-// the slot list), invoking fn exactly like SynchronousScan. Disjoint
-// index subranges touch disjoint subtrees, so concurrent callers need no
-// synchronization. Within a subrange, keys ascend in encoded order.
+// Scans the subtree pairs behind `units`, invoking fn exactly like
+// SynchronousScan. Disjoint unit slices touch disjoint subtrees, so
+// concurrent callers need no synchronization. Keys ascend in encoded
+// order across the units of one slice.
 template <typename F>
-void SynchronousScanPairSlots(const PrefixTree& left, const PrefixTree& right,
-                              const PairScanLevel& level, size_t begin,
-                              size_t end, F&& fn) {
-  if (level.lnode == nullptr) return;
-  if (end > level.slots.size()) end = level.slots.size();
-  for (size_t s = begin; s < end; ++s) {
-    size_t i = level.slots[s];
-    internal::SyncScanSlotPair(
-        left, right, PrefixTree::LoadSlot(&level.lnode->slots[i]),
-        PrefixTree::LoadSlot(&level.rnode->slots[i]), level.bit_off,
-        level.width, fn);
+void SynchronousScanUnits(const PrefixTree& left, const PrefixTree& right,
+                          std::span<const PairScanUnit> units, F&& fn) {
+  for (const PairScanUnit& u : units) {
+    internal::SyncScanSlotPair(left, right, u.left, u.right, u.bit_off,
+                               u.width, fn);
   }
 }
 

@@ -141,8 +141,7 @@ void AnswerKissPoints(const IndexedTable& table,
   const KissTree& data = *table.kiss();
   if (points.size() == 1) {
     KissTree::ValueRef vals;
-    if (data.Lookup(IndexedTable::KissKeyOf(SlotFromInt64(points[0]->lo)),
-                    &vals)) {
+    if (data.Lookup(KissKeyOf(SlotFromInt64(points[0]->lo)), &vals)) {
       vals.ForEach([&](uint64_t id) { points[0]->out.push_back(id); });
     }
     ++*shared_scans;
@@ -152,7 +151,7 @@ void AnswerKissPoints(const IndexedTable& table,
   cfg.root_bits = data.config().root_bits;
   KissTree probe(cfg);
   for (size_t i = 0; i < points.size(); ++i) {
-    probe.Insert(IndexedTable::KissKeyOf(SlotFromInt64(points[i]->lo)), i);
+    probe.Insert(KissKeyOf(SlotFromInt64(points[i]->lo)), i);
   }
   SynchronousScan(probe, data,
                   [&](uint32_t, const KissTree::ValueRef& reqs,
@@ -178,10 +177,9 @@ void AnswerKissRanges(const IndexedTable& table,
     lo = std::min(lo, r->lo);
     hi = std::max(hi, r->hi);
   }
-  data.ScanRange(IndexedTable::KissKeyOf(SlotFromInt64(lo)),
-                 IndexedTable::KissKeyOf(SlotFromInt64(hi)),
+  data.ScanRange(KissKeyOf(SlotFromInt64(lo)), KissKeyOf(SlotFromInt64(hi)),
                  [&](uint32_t key, const KissTree::ValueRef& ids) {
-                   int64_t k = static_cast<int64_t>(key);
+                   int64_t k = Int64FromSlot(SlotOfKissKey(key));
                    for (Request* r : ranges) {
                      if (k < r->lo || k > r->hi) continue;
                      ids.ForEach([&](uint64_t id) { r->out.push_back(id); });

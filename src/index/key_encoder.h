@@ -50,6 +50,13 @@ class KeyBuf {
     AppendU32(static_cast<uint32_t>(v));
   }
 
+  // Appends `n` copies of `byte`: 0x00 pads a bound below, and 0xFF
+  // above, every encoding of the components it stands for.
+  void AppendFill(uint8_t byte, size_t n) {
+    std::memset(bytes_ + size_, byte, n);
+    size_ += n;
+  }
+
   // Signed 64-bit: flip the sign bit so negative values sort first.
   void AppendI64(int64_t v) {
     AppendU64(static_cast<uint64_t>(v) ^ (uint64_t{1} << 63));
@@ -77,6 +84,17 @@ class KeyBuf {
   uint8_t bytes_[kCapacity] = {};
   size_t size_ = 0;
 };
+
+// The 32-bit KISS-Tree key (§2.2) of an integer key slot: its low 32 bits
+// with the sign bit flipped, so keys in the int32 range keep their order
+// (negative below positive). Wider keys wrap mod 2^32. SlotOfKissKey is
+// the inverse on the int32 range.
+inline uint32_t KissKeyOf(uint64_t slot) {
+  return static_cast<uint32_t>(slot) ^ (uint32_t{1} << 31);
+}
+inline uint64_t SlotOfKissKey(uint32_t key) {
+  return SlotFromInt64(static_cast<int32_t>(key ^ (uint32_t{1} << 31)));
+}
 
 // Decoding helpers (tests, result extraction).
 inline uint32_t DecodeU32(const uint8_t* p) {

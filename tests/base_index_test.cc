@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/base_index.h"
 #include "util/rng.h"
@@ -114,6 +117,75 @@ TEST(BaseIndexTest, CompositeKeyUsesPrefixTree) {
     }
   }
   EXPECT_EQ(via_index, via_scan);
+}
+
+// Single-column predicates on a composite index scan the leading key
+// column: a (brand, size) index returns the same rows as a brand index.
+TEST(BaseIndexTest, CompositeIndexAnswersLeadingColumnPredicates) {
+  auto table = MakePartTable(1000);
+  BaseIndex::Options prefix;
+  prefix.prefer_kiss = false;
+  auto single = BaseIndex::Build(table.get(), {"brand"}, {}, prefix);
+  auto composite = BaseIndex::Build(table.get(), {"brand", "size"}, {});
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(composite.ok());
+  ASSERT_EQ((*composite)->kind(), BaseIndex::Kind::kPrefix);
+  auto rows = [](const BaseIndex& index, auto&& scan) {
+    std::multiset<uint64_t> got;
+    scan(index, [&](uint64_t rid) { got.insert(rid); });
+    return got;
+  };
+  for (int64_t brand : {0, 7, 39, 40}) {
+    auto match = [&](const BaseIndex& index, auto&& fn) {
+      index.ForEachMatch(SlotFromInt64(brand), fn);
+    };
+    EXPECT_EQ(rows(**composite, match), rows(**single, match)) << brand;
+  }
+  for (auto [lo, hi] : {std::pair<int64_t, int64_t>{5, 9}, {-3, 2},
+                        {38, 100}, {20, 10}}) {
+    auto range = [&](const BaseIndex& index, auto&& fn) {
+      index.ForEachInRange(SlotFromInt64(lo), SlotFromInt64(hi), fn);
+    };
+    auto got = rows(**composite, range);
+    EXPECT_EQ(got, rows(**single, range)) << lo << ".." << hi;
+    size_t via_scan = 0;
+    for (Rid r = 0; r < 1000; ++r) {
+      int64_t brand = Int64FromSlot(table->GetSlot(r, 1));
+      if (brand >= lo && brand <= hi) ++via_scan;
+    }
+    EXPECT_EQ(got.size(), via_scan) << lo << ".." << hi;
+  }
+}
+
+// Integer keys below zero order below positive ones in both families.
+TEST(BaseIndexTest, NegativeKeyRangeAgreesAcrossFamilies) {
+  Schema schema({{"k", ValueType::kInt64, nullptr}});
+  RowTable table(schema, "signed");
+  for (int64_t k = -100; k < 100; ++k) {
+    uint64_t row[1] = {SlotFromInt64(k)};
+    table.AppendRow(row);
+  }
+  BaseIndex::Options prefix;
+  prefix.prefer_kiss = false;
+  auto kiss = BaseIndex::Build(&table, {"k"}, {}, SmallKiss());
+  auto tree = BaseIndex::Build(&table, {"k"}, {}, prefix);
+  ASSERT_TRUE(kiss.ok());
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ((*kiss)->kind(), BaseIndex::Kind::kKiss);
+  for (const BaseIndex* index : {kiss->get(), tree->get()}) {
+    std::vector<int64_t> keys;
+    index->ForEachInRange(SlotFromInt64(-50), SlotFromInt64(50),
+                          [&](uint64_t rid) {
+                            keys.push_back(
+                                Int64FromSlot(table.GetSlot(rid, 0)));
+                          });
+    ASSERT_EQ(keys.size(), 101u);
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    EXPECT_EQ(keys.front(), -50);
+    size_t hits = 0;
+    index->ForEachMatch(SlotFromInt64(-7), [&](uint64_t) { ++hits; });
+    EXPECT_EQ(hits, 1u);
+  }
 }
 
 TEST(BaseIndexTest, UnknownColumnsFail) {

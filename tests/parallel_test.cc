@@ -5,7 +5,9 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -261,8 +263,8 @@ TEST(PartitionKeysTest, ClampsTheSpanToThePopulatedKeys) {
     ASSERT_FALSE(wide.empty());
     expect_keys(wide, 1000, 8999);
     if (kiss) {
-      EXPECT_EQ(wide.front().kiss_lo, 1000u);
-      EXPECT_EQ(wide.back().kiss_hi, 8999u);
+      EXPECT_EQ(wide.front().kiss_lo, KissKeyOf(SlotFromInt64(1000)));
+      EXPECT_EQ(wide.back().kiss_hi, KissKeyOf(SlotFromInt64(8999)));
     }
     // Bounds inside the populated keys are kept.
     uint64_t lo = SlotFromInt64(2000);
@@ -275,20 +277,41 @@ TEST(PartitionKeysTest, ClampsTheSpanToThePopulatedKeys) {
   }
 }
 
-// ---- pair partitioning (parallel prefix-tree star join) --------------------
+// ---- subtree-pair units (parallel prefix-tree star join) -------------------
 
-TEST(FindPairScanLevelTest, EdgeCases) {
-  // Either side empty: no slots.
+// Scans `units` in SplitEvenly slices and checks that the slices, taken
+// in order, visit `expected` (the key intersection) exactly once and in
+// ascending key order. Keys are compared as encoded byte strings.
+void ExpectSlicedScanVisits(const PrefixTree& left, const PrefixTree& right,
+                            const std::vector<PairScanUnit>& units,
+                            size_t slices,
+                            const std::vector<std::string>& expected) {
+  std::vector<std::string> got;
+  const size_t key_len = left.key_len();
+  for (auto [begin, end] : SplitEvenly(units.size(), slices)) {
+    SynchronousScanUnits(
+        left, right,
+        std::span<const PairScanUnit>(units).subspan(begin, end - begin),
+        [&](const uint8_t* key, const ValueList*, const ValueList*) {
+          got.emplace_back(reinterpret_cast<const char*>(key), key_len);
+        });
+  }
+  EXPECT_EQ(got, expected) << slices << " slices over " << units.size()
+                           << " units";
+}
+
+TEST(PairScanUnitsTest, EdgeCases) {
+  // Either side empty: no units.
   PrefixTree empty({.key_len = 4, .kprime = 4});
   PrefixTree other({.key_len = 4, .kprime = 4});
   KeyBuf buf;
   buf.AppendU32(42);
   other.Insert(buf.data(), 1);
-  EXPECT_TRUE(FindPairScanLevel(empty, other).slots.empty());
-  EXPECT_TRUE(FindPairScanLevel(other, empty).slots.empty());
+  EXPECT_TRUE(PairScanUnits(empty, other, 8).empty());
+  EXPECT_TRUE(PairScanUnits(other, empty, 8).empty());
 
   // Populated but disjoint root slots: both trees have keys, yet no slot
-  // is used by both — the scan would visit nothing, so no slots either.
+  // is used by both — the scan would visit nothing, so no units either.
   PrefixTree lo({.key_len = 4, .kprime = 4});
   PrefixTree hi({.key_len = 4, .kprime = 4});
   buf.clear();
@@ -297,11 +320,11 @@ TEST(FindPairScanLevelTest, EdgeCases) {
   buf.clear();
   buf.AppendU32(0xA0000000);  // top fragment 10
   hi.Insert(buf.data(), 2);
-  EXPECT_TRUE(FindPairScanLevel(lo, hi).slots.empty());
+  EXPECT_TRUE(PairScanUnits(lo, hi, 8).empty());
 
-  // Keys with a shared top fragment: the level descends past the shared
-  // chain and still exposes parallelism (the old root-slot split would
-  // have collapsed to one span).
+  // Keys with a shared top fragment: the units lie below the shared
+  // chain and still expose parallelism (a root-slot split would have
+  // collapsed to one span).
   PrefixTree a({.key_len = 4, .kprime = 4});
   PrefixTree b({.key_len = 4, .kprime = 4});
   for (uint32_t k = 0; k < 200; ++k) {
@@ -310,9 +333,9 @@ TEST(FindPairScanLevelTest, EdgeCases) {
     a.Insert(buf.data(), k);
     if (k % 2 == 0) b.Insert(buf.data(), k);
   }
-  auto level = FindPairScanLevel(a, b);
-  EXPECT_GT(level.slots.size(), 1u) << "shared-prefix chain not descended";
-  EXPECT_GT(level.bit_off, 0u);
+  auto units = PairScanUnits(a, b, 2);
+  EXPECT_GT(units.size(), 1u) << "shared-prefix chain not descended";
+  EXPECT_GT(units.front().bit_off, 0u);
 
   // All duplicates under ONE key on both sides: the chain bottoms out at
   // a single content pair — exactly one unit of work, no split possible.
@@ -324,18 +347,18 @@ TEST(FindPairScanLevelTest, EdgeCases) {
     dup_l.Insert(buf.data(), v);
     dup_r.Insert(buf.data(), 100 + v);
   }
-  auto dup_level = FindPairScanLevel(dup_l, dup_r);
-  ASSERT_EQ(dup_level.slots.size(), 1u);
+  auto dup_units = PairScanUnits(dup_l, dup_r, 64);
+  ASSERT_EQ(dup_units.size(), 1u);
   size_t pairs = 0;
-  SynchronousScanPairSlots(dup_l, dup_r, dup_level, 0, 1,
-                           [&](const uint8_t*, const ValueList* lv,
-                               const ValueList* rv) {
-                             pairs += lv->size() * rv->size();
-                           });
+  SynchronousScanUnits(dup_l, dup_r, dup_units,
+                       [&](const uint8_t*, const ValueList* lv,
+                           const ValueList* rv) {
+                         pairs += lv->size() * rv->size();
+                       });
   EXPECT_EQ(pairs, 50u * 50u);
 }
 
-TEST(FindPairScanLevelTest, SlicedScanMatchesIntersection) {
+TEST(PairScanUnitsTest, SlicedScanMatchesIntersection) {
   PrefixTree left({.key_len = 4, .kprime = 4});
   PrefixTree right({.key_len = 4, .kprime = 4});
   Rng rng(23);
@@ -353,36 +376,65 @@ TEST(FindPairScanLevelTest, SlicedScanMatchesIntersection) {
     right.Insert(buf.data(), 1);
     rkeys.insert(k);
   }
-  std::vector<uint32_t> expected;
-  std::set_intersection(lkeys.begin(), lkeys.end(), rkeys.begin(),
-                        rkeys.end(), std::back_inserter(expected));
-  auto level = FindPairScanLevel(left, right);
-  ASSERT_GT(level.slots.size(), 1u);
-  for (size_t slices : {1, 2, 3, 7}) {
-    // Chop the slot list into `slices` chunks; scanning every chunk must
-    // visit exactly the key intersection once, in order within a chunk.
-    size_t n = level.slots.size();
-    std::vector<uint32_t> got;
-    for (size_t s = 0; s < slices; ++s) {
-      size_t begin = n * s / slices;
-      size_t end = n * (s + 1) / slices;
-      uint32_t last = 0;
-      bool first = true;
-      SynchronousScanPairSlots(
-          left, right, level, begin, end,
-          [&](const uint8_t* key, const ValueList*, const ValueList*) {
-            uint32_t k = DecodeU32(key);
-            if (!first) {
-              EXPECT_GT(k, last);
-            }
-            first = false;
-            last = k;
-            got.push_back(k);
-          });
-    }
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected) << slices;
+  std::vector<std::string> expected;
+  for (uint32_t k : lkeys) {
+    if (rkeys.count(k) == 0) continue;
+    buf.clear();
+    buf.AppendU32(k);
+    expected.emplace_back(reinterpret_cast<const char*>(buf.data()), 4);
   }
+  for (size_t target : {1, 4, 32, 256}) {
+    auto units = PairScanUnits(left, right, target);
+    ASSERT_FALSE(units.empty());
+    for (size_t slices : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                          target}) {
+      ExpectSlicedScanVisits(left, right, units, slices, expected);
+    }
+  }
+}
+
+// c_custkey-shaped join keys: int64 keys 1..15000 share the 12-fragment
+// sign-flipped chain and branch at a nibble holding only 0..3, so the
+// branching level alone yields 4 units — fewer than any pool's target.
+TEST(PairScanUnitsTest, Int64CustkeysExpandBelowBranchingLevel) {
+  PrefixTree left({.key_len = 8, .kprime = 4});
+  PrefixTree right({.key_len = 8, .kprime = 4});
+  std::vector<std::string> expected;
+  KeyBuf buf;
+  for (int64_t k = 1; k <= 15000; ++k) {
+    buf.clear();
+    buf.AppendI64(k);
+    left.Insert(buf.data(), static_cast<uint64_t>(k));
+    if (k % 3 == 0) {
+      right.Insert(buf.data(), static_cast<uint64_t>(k));
+      expected.emplace_back(reinterpret_cast<const char*>(buf.data()), 8);
+    }
+  }
+  // target <= the branching fanout expands nothing: the branching level.
+  const size_t branch_bit_off = 48;
+  for (size_t target : {1, 2, 4}) {
+    auto units = PairScanUnits(left, right, target);
+    ASSERT_EQ(units.size(), 4u) << target;
+    for (const PairScanUnit& u : units) {
+      EXPECT_EQ(u.bit_off, branch_bit_off) << target;
+    }
+  }
+  for (size_t target : {5, 8, 32, 256}) {
+    auto units = PairScanUnits(left, right, target);
+    EXPECT_GE(units.size(), target);
+    EXPECT_GT(units.front().bit_off, branch_bit_off) << target;
+    for (size_t slices : {size_t{1}, size_t{3}, target}) {
+      ExpectSlicedScanVisits(left, right, units, slices, expected);
+    }
+  }
+  // Self-pairing (the mixed KISS x prefix join) enumerates every key.
+  std::vector<std::string> all;
+  left.ScanAll([&](const PrefixTree::ContentNode& c) {
+    all.emplace_back(reinterpret_cast<const char*>(c.key()), 8);
+  });
+  auto self_units = PairScanUnits(left, left, 64);
+  EXPECT_GE(self_units.size(), 64u);
+  ExpectSlicedScanVisits(left, left, self_units, 64, all);
 }
 
 // ---- exception safety of the fork-join scope -------------------------------

@@ -1,6 +1,7 @@
 // Query-API unit tests: QueryBuilder -> QuerySpec -> planner on a tiny
 // non-SSB star, spec validation errors, ORDER-BY strategy, parameter
-// re-binding, and the prepared-query plan cache.
+// re-binding, the prepared-query plan cache, and keys spanning zero in
+// both index families.
 
 #include <gtest/gtest.h>
 
@@ -395,6 +396,93 @@ TEST_F(QueryApiTest, EngineExecutesSpecsDirectly) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->rows.size(), Reference(40, 60).size());
   EXPECT_EQ(stats.operators.size(), 2u);
+}
+
+// Keys spanning zero: a KISS tree orders its 32-bit keys with the sign
+// bit flipped, so both index families agree on a range selection, a
+// grouped aggregate over negative keys and a RangeRead across zero.
+TEST(SignedKeyTest, KissAndPrefixFamiliesAgreeAcrossZero) {
+  Schema schema({{"k", ValueType::kInt64, nullptr},
+                 {"v", ValueType::kInt64, nullptr}});
+  auto rows = std::make_unique<RowTable>(schema, "signed");
+  std::map<int64_t, std::pair<int64_t, int64_t>> want;  // sum(v), count
+  for (int64_t i = 0; i < 600; ++i) {
+    int64_t k = i % 200 - 100;  // -100..99, three rows each
+    uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(i)};
+    rows->AppendRow(row);
+    if (k >= -50 && k <= 50) {
+      want[k].first += i;
+      want[k].second += 1;
+    }
+  }
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(rows)).ok());
+  BaseIndex::Options kiss_opts;
+  kiss_opts.kiss_root_bits = 20;
+  BaseIndex::Options prefix_opts;
+  prefix_opts.prefer_kiss = false;
+  ASSERT_TRUE(db.BuildIndex("by_k_kiss", "signed", {"k"}, {"v"}, kiss_opts)
+                  .ok());
+  ASSERT_TRUE(
+      db.BuildIndex("by_k_prefix", "signed", {"k"}, {"v"}, prefix_opts).ok());
+  ASSERT_EQ((*db.index("by_k_kiss"))->kind(), BaseIndex::Kind::kKiss);
+
+  for (bool kiss : {true, false}) {
+    query::QueryBuilder b("test.signed");
+    b.From("signed")
+        .FactIndex(kiss ? "by_k_kiss" : "by_k_prefix")
+        .FactColumns({"k", "v"})
+        .Where(KeyPredicate::Range(-50, 50));
+    b.GroupBy({"k"})
+        .Aggregate(AggFn::kSum, ScalarExpr::Column("v"), "sum_v")
+        .Aggregate(AggFn::kCount, {}, "cnt");
+    query::QuerySpec spec = std::move(b).Build();
+    PlanKnobs knobs;
+    knobs.table_options.prefer_kiss = kiss;  // the group table's family
+    for (size_t threads : {1, 4}) {
+      engine::EngineConfig cfg;
+      cfg.threads = threads;
+      cfg.clamp_threads_to_hardware = false;
+      engine::EngineRunner runner(cfg);
+      auto result = runner.Execute(db, spec, knobs);
+      ASSERT_TRUE(result.ok()) << result.status();
+      ASSERT_EQ(result->rows.size(), want.size())
+          << (kiss ? "kiss" : "prefix") << " t=" << threads;
+      auto it = want.begin();
+      for (const auto& row : result->rows) {
+        EXPECT_EQ(row[0].AsInt(), it->first) << "groups out of key order";
+        EXPECT_EQ(row[1].AsInt(), it->second.first) << it->first;
+        EXPECT_EQ(row[2].AsInt(), it->second.second) << it->first;
+        ++it;
+      }
+    }
+  }
+
+  for (bool kiss : {true, false}) {
+    IndexedTable::Options opts;
+    opts.prefer_kiss = kiss;
+    opts.kiss_root_bits = 20;
+    auto table_or = IndexedTable::Create(schema, {"k"}, opts);
+    ASSERT_TRUE(table_or.ok());
+    auto table = std::move(table_or).value();
+    ASSERT_EQ(table->kind() == IndexedTable::Kind::kKiss, kiss);
+    for (int64_t k = -100; k < 100; ++k) {
+      uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(k * 10)};
+      table->Insert(row);
+    }
+    engine::EngineRunner runner(engine::EngineConfig{.threads = 1});
+    auto ids = runner.RangeRead(*table, -50, 50);
+    ASSERT_TRUE(ids.ok()) << ids.status();
+    std::vector<int64_t> keys;
+    for (uint64_t id : *ids) keys.push_back(Int64FromSlot(table->Tuple(id)[0]));
+    std::vector<int64_t> expected;
+    for (int64_t k = -50; k <= 50; ++k) expected.push_back(k);
+    EXPECT_EQ(keys, expected) << (kiss ? "kiss" : "prefix");
+    auto point = runner.PointRead(*table, -7);
+    ASSERT_TRUE(point.ok());
+    ASSERT_EQ(point->size(), 1u);
+    EXPECT_EQ(Int64FromSlot(table->Tuple((*point)[0])[1]), -70);
+  }
 }
 
 }  // namespace

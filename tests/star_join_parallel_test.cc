@@ -1,7 +1,7 @@
 // Parallel star join across index families (ISSUE 4).
 //
 // The star join's synchronous scan now has three main-pair shapes —
-// KISS x KISS, prefix x prefix (branching-level pair morsels), and the
+// KISS x KISS, prefix x prefix (subtree-pair unit morsels), and the
 // mixed KISS x prefix batched-probe path — and all of them must produce
 // results identical to the serial reference, across worker counts, on
 // real SSB plans. The index families are steered two ways:
@@ -152,6 +152,46 @@ TEST_F(StarJoinParallelTest, MixedMainsStarJoinRunsMorselParallel) {
   }
   EXPECT_TRUE(join_parallel)
       << "mixed-mains star join stayed serial:\n" << stats.ToString();
+}
+
+// The prefix x prefix and mixed star joins split below the two trees'
+// branching level: on these queries the branching level holds only 2
+// jointly populated subtrees at SF 0.01, yet each star join must run
+// more morsels than the pool has workers.
+TEST_F(StarJoinParallelTest, PrefixStarJoinsSplitBelowBranchingLevel) {
+  struct Combo {
+    const char* name;
+    SsbData* data;
+    bool intermediates_kiss;
+  };
+  const Combo combos[] = {
+      {"kiss base x prefix intermediates (mixed)", kiss_data_, false},
+      {"prefix base x kiss intermediates (mixed)", prefix_data_, true},
+      {"prefix x prefix", prefix_data_, false},
+  };
+  constexpr size_t kWorkers = 8;
+  for (const auto& combo : combos) {
+    PlanKnobs knobs;
+    knobs.table_options.prefer_kiss = combo.intermediates_kiss;
+    engine::EngineConfig cfg;
+    cfg.threads = kWorkers;
+    cfg.clamp_threads_to_hardware = false;  // tiny CI boxes
+    engine::EngineRunner runner(cfg);
+    for (const std::string id : {"3.1", "4.1", "4.2", "4.3"}) {
+      PlanStats stats;
+      auto result = RunQppt(runner, *combo.data, id, knobs, &stats);
+      ASSERT_TRUE(result.ok()) << result.status();
+      size_t joins = 0;
+      for (const auto& op : stats.operators) {
+        if (op.name.rfind("join:", 0) != 0) continue;
+        ++joins;
+        EXPECT_GT(op.morsels, kWorkers)
+            << combo.name << " Q" << id << " " << op.name << ":\n"
+            << stats.ToString();
+      }
+      EXPECT_GT(joins, 0u) << combo.name << " Q" << id;
+    }
+  }
 }
 
 // Partitioned parallel merge on real plans: an unfused Q1.1 runs a big

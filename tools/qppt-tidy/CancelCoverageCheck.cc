@@ -97,7 +97,7 @@ void CancelCoverageCheck::registerMatchers(MatchFinder *Finder) {
   auto ScanCall =
       callExpr(callee(functionDecl(hasAnyName(
                    "SynchronousScan", "SynchronousScanRange",
-                   "SynchronousScanPairSlots", "ScanAll", "ScanGroups",
+                   "SynchronousScanUnits", "ScanAll", "ScanGroups",
                    "ForEachMatch"))))
           .bind("site");
   Finder->addMatcher(ScanCall, this);
